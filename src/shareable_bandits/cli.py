@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import emit_outputs, run_experiment
-from .scenarios import ALGORITHMS, Scenario, ScenarioError, load_scenario
+from .scenarios import ALGORITHMS, Scenario, ScenarioError, load_scenario, preset_scenarios
+
+
+def _parse_ints(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s.strip()]
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if "," in text:
-        return [int(s) for s in text.split(",") if s.strip()]
-    return list(range(int(text)))
-
-
-def _parse_checkpoints(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip()]
+    return _parse_ints(text) if "," in text else list(range(int(text)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,38 +49,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    fields = {
-        "name": scenario.name,
-        "num_arms": scenario.num_arms,
-        "num_players": scenario.num_players,
-        "capacities": scenario.capacities,
-        "means": scenario.means,
-        "horizon": args.horizon or scenario.horizon,
-        "feedback": args.feedback or scenario.feedback,
-        "permute_means": scenario.permute_means,
-        "algorithms": scenario.algorithms,
-        "seeds": scenario.seeds,
-        "checkpoints": [],
-        "delta": args.delta if args.delta is not None else scenario.delta,
-    }
+    changes = {}
+    if args.horizon is not None:
+        changes["horizon"] = args.horizon
+        changes["checkpoints"] = []  # re-derived for the new horizon
+    if args.feedback:
+        changes["feedback"] = args.feedback
+    if args.delta is not None:
+        changes["delta"] = args.delta
     if args.algo:
-        fields["algorithms"] = (
+        changes["algorithms"] = (
             list(ALGORITHMS) if args.algo == "all" else args.algo.split(",")
         )
     if args.seeds:
-        fields["seeds"] = _parse_seeds(args.seeds)
+        changes["seeds"] = _parse_seeds(args.seeds)
     if args.checkpoints:
-        fields["checkpoints"] = _parse_checkpoints(args.checkpoints)
-    elif args.horizon is None:
-        fields["checkpoints"] = scenario.checkpoints
-    return Scenario(**fields)
+        changes["checkpoints"] = _parse_ints(args.checkpoints)
+    return dataclasses.replace(scenario, **changes)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-scenarios":
-        from .scenarios import preset_scenarios
-
         for name, sc in sorted(preset_scenarios().items()):
             print(
                 f"{name}: K={sc.num_arms} M={sc.num_players} T={sc.horizon} "
@@ -89,21 +78,17 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0
 
-    if args.command == "validate":
-        try:
-            scenario = load_scenario(args.scenario)
-            scenario.validate()
-        except ScenarioError as exc:
-            print(f"invalid scenario: {exc}", file=sys.stderr)
-            return 1
-        print(f"scenario {scenario.name!r} is valid")
-        return 0
-
     try:
-        scenario = _apply_overrides(load_scenario(args.scenario), args)
+        scenario = load_scenario(args.scenario)  # loading validates
+        if args.command == "run":
+            scenario = _apply_overrides(scenario, args)
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1
+    if args.command == "validate":
+        print(f"scenario {scenario.name!r} is valid")
+        return 0
+
     agg, results = run_experiment(scenario, jobs=args.jobs, log=print)
     paths = emit_outputs(agg, results, scenario, args.out)
     for kind, path in paths.items():

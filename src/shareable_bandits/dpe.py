@@ -171,9 +171,7 @@ class DpeSdiPolicy:
         self.num_arms = env.num_arms
         self.horizon = env.horizon
         self.rng = env.rng
-        if delta is None:
-            delta = env.delta if env.delta is not None else 2.0 / env.horizon
-        self.delta = delta
+        self.delta = 2.0 / env.horizon if delta is None else delta
 
         self.phase = "init"
         self._mode = _RALLY
@@ -183,7 +181,6 @@ class DpeSdiPolicy:
 
         # Orthogonalization bookkeeping.
         self._ortho_slot = 0
-        self._ortho_rounds = 0
         self._saw_sharing = False
         self._claim_arm = 0
 
@@ -215,10 +212,6 @@ class DpeSdiPolicy:
     def is_leader(self) -> bool:
         return self.rank == 0
 
-    def _mu_hat(self, arm: int) -> float:
-        assert self.stats is not None
-        return self.stats.ie_sum[arm] / self.stats.ie_count[arm]
-
     def _begin_round(self) -> None:
         self._mode = _ROUND
         self._round_slot = 0
@@ -237,7 +230,7 @@ class DpeSdiPolicy:
         if self.is_leader and self._pending:
             self.phase = "comm"
             self._park_arm = max(
-                self.view.optimal_set, key=lambda k: (self._mu_hat(k), -k)
+                self.view.optimal_set, key=lambda k: (self.stats.mu_hat(k), -k)
             )
         else:
             self.phase = "explore"
@@ -284,7 +277,7 @@ class DpeSdiPolicy:
         for k in range(self.num_arms):
             if stats.ue_count[k] > 0:
                 update_capacity_bounds(stats, k, bounds, self.delta)
-        mu = [stats.ie_sum[k] / stats.ie_count[k] for k in range(self.num_arms)]
+        mu = [stats.mu_hat(k) for k in range(self.num_arms)]
         opt = oracle(mu, bounds.lower, self.num_players)
         least = opt.least_favored
         self._explore_set = [
@@ -437,7 +430,6 @@ class DpeSdiPolicy:
                 self._saw_sharing = True
         self._ortho_slot = s + 1
         if self._ortho_slot == self.num_players + 1:
-            self._ortho_rounds += 1
             if not self._saw_sharing:
                 if self.rank is None:
                     raise ProtocolCorruptionError(
@@ -472,7 +464,7 @@ class DpeSdiPolicy:
             if self.is_leader:
                 self._leader_update()
                 self._park_arm = max(
-                    range(self.num_arms), key=lambda k: (self._mu_hat(k), -k)
+                    range(self.num_arms), key=lambda k: (self.stats.mu_hat(k), -k)
                 )
             self._mode = _PARK
             self._comm_slot = 0

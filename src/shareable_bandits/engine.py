@@ -56,7 +56,6 @@ class PublicEnvInfo:
     horizon: int
     feedback: Feedback
     rng: np.random.Generator
-    delta: float | None = None
 
 
 class Policy(Protocol):
@@ -82,22 +81,39 @@ class RunTrace:
 
     def optimal_fraction(self, last_slots: int) -> float:
         """Fraction of the final ``last_slots`` slots played exactly optimally."""
-        window = self.optimal_mask[-last_slots:]
+        window = self.optimal_mask[max(len(self.optimal_mask) - last_slots, 0):]
         return float(window.mean()) if len(window) else 0.0
 
 
-def player_rngs(seed: int, num_players: int) -> list[np.random.Generator]:
-    """Private per-player generators derived from the master seed.
+def _slot(
+    actions: Sequence[int],
+    row: Sequence[float],
+    means: Sequence[float],
+    caps: Sequence[int],
+    sdi: bool,
+) -> tuple[dict[int, int], list[Observation]]:
+    """Apply the reward rule to one slot: min(a_k, m_k) * X_k per arm.
 
-    Stream 0 of the spawn is reserved for the environment's arm draws.
+    ``row`` holds one uniform per arm; X_k is 1 when it falls below the
+    arm's mean. Returns the players per arm and each player's own
+    observation, in action order.
     """
-    children = np.random.SeedSequence(seed).spawn(num_players + 1)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children[1:]]
-
-
-def _env_rng(seed: int) -> np.random.Generator:
-    child = np.random.SeedSequence(seed).spawn(1)[0]
-    return np.random.Generator(np.random.PCG64(child))
+    num_arms = len(means)
+    counts: dict[int, int] = {}
+    for a in actions:
+        if a in counts:
+            counts[a] += 1
+        elif 0 <= a < num_arms:
+            counts[a] = 1
+        else:
+            raise InvalidActionError(f"arm index {a} out of range [0, {num_arms})")
+    out = []
+    for a in actions:
+        c = counts[a]
+        x = 1.0 if row[a] < means[a] else 0.0
+        reward = (c if c <= caps[a] else caps[a]) * x
+        out.append(Observation(a, reward, c if sdi else None, c > 1))
+    return counts, out
 
 
 def step(
@@ -113,19 +129,8 @@ def step(
             f"expected {spec.num_players} actions, got {len(actions)}"
         )
     draws = rng.random(spec.num_arms)
-    counts: dict[int, int] = {}
-    for a in actions:
-        if not 0 <= a < spec.num_arms:
-            raise InvalidActionError(f"arm index {a} out of range [0, {spec.num_arms})")
-        counts[a] = counts.get(a, 0) + 1
     sdi = spec.feedback is Feedback.SDI
-    out = []
-    for a in actions:
-        c = counts[a]
-        x = 1.0 if draws[a] < spec.means[a] else 0.0
-        reward = (c if c <= spec.capacities[a] else spec.capacities[a]) * x
-        out.append(Observation(a, reward, c if sdi else None, c > 1))
-    return out
+    return _slot(actions, draws, spec.means, spec.capacities, sdi)[1]
 
 
 def run(
@@ -167,9 +172,8 @@ def run(
     cps = sorted(set(int(c) for c in checkpoints))
     if any(c < 1 or c > T for c in cps):
         raise ValueError("checkpoints must lie in [1, horizon]")
+    cp_set = set(cps)
     cp_regret: list[float] = []
-    cp_next = cps[0] if cps else None
-    cp_idx = 0
 
     optimal_mask = np.zeros(T, dtype=bool)
     phase_events: list[tuple[int, str]] = []
@@ -182,40 +186,30 @@ def run(
         if t - base >= len(draws):
             base = t
             draws = env_rng.random((min(_CHUNK, T - t), K))
-        row = draws[t - base]
 
         arms = [p.next_action(t) for p in policies]
-        counts: dict[int, int] = {}
-        for a in arms:
-            counts[a] = counts.get(a, 0) + 1
+        try:
+            counts, observations = _slot(arms, draws[t - base], means, caps, sdi)
+        except InvalidActionError as exc:
+            raise InvalidActionError(f"{exc} at slot {t}") from None
 
         f_t = 0.0
         for a, c in counts.items():
-            if not 0 <= a < K:
-                raise InvalidActionError(
-                    f"arm index {a} out of range [0, {K}) at slot {t}"
-                )
             f_t += (c if c <= caps[a] else caps[a]) * means[a]
         regret += fstar - f_t
         if counts == opt_items:
             optimal_mask[t] = True
 
-        for i, p in enumerate(policies):
-            a = arms[i]
-            c = counts[a]
-            x = 1.0 if row[a] < means[a] else 0.0
-            reward = (c if c <= caps[a] else caps[a]) * x
-            p.observe(Observation(a, reward, c if sdi else None, c > 1))
+        for p, obs in zip(policies, observations):
+            p.observe(obs)
 
         phase = getattr(policies[0], "phase", None)
         if phase is not None and phase != last_phase:
             phase_events.append((t, str(phase)))
             last_phase = phase
 
-        if cp_next is not None and t + 1 == cp_next:
+        if t + 1 in cp_set:
             cp_regret.append(regret)
-            cp_idx += 1
-            cp_next = cps[cp_idx] if cp_idx < len(cps) else None
 
         if probe is not None:
             probe(t, policies, counts)

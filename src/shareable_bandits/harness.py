@@ -12,6 +12,7 @@ import csv
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,15 +90,8 @@ def run_experiment(
     scenario.validate()
     tasks = [(scenario, alg, seed) for alg in scenario.algorithms for seed in scenario.seeds]
     results: list[RunResult] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for res in pool.map(_run_task, tasks):
-                results.append(res)
-                if log:
-                    log(f"done {res.algorithm} seed={res.seed} regret={res.final_regret:.1f}")
-    else:
-        for task in tasks:
-            res = _run_task(task)
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        for res in (pool.map if pool else map)(_run_task, tasks):
             results.append(res)
             if log:
                 log(f"done {res.algorithm} seed={res.seed} regret={res.final_regret:.1f}")

@@ -49,6 +49,11 @@ class EnvSpec:
             raise ValueError("means and capacities must have one entry per arm")
         if any(not 0.0 <= m <= 1.0 for m in self.means):
             raise ValueError("per-load reward means must lie in [0, 1]")
+        if sum(self.capacities) < self.num_players:
+            raise InfeasibleAssignmentError(
+                f"total capacity {sum(self.capacities)} cannot host "
+                f"{self.num_players} players"
+            )
         if any(not 1 <= c <= self.num_players for c in self.capacities):
             raise ValueError("capacities must lie in [1, num_players]")
         if self.horizon < 1:

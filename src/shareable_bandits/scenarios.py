@@ -17,8 +17,6 @@ import numpy as np
 
 from .model import EnvSpec, Feedback
 
-ALGORITHMS = ("dpe-sdi", "sic-sda", "sic-sdi", "highest-reward", "idlest-arm")
-
 # Feedback a given algorithm needs, overriding the scenario default.
 ALGORITHM_FEEDBACK: dict[str, Feedback | None] = {
     "dpe-sdi": Feedback.SDI,
@@ -27,6 +25,8 @@ ALGORITHM_FEEDBACK: dict[str, Feedback | None] = {
     "highest-reward": None,
     "idlest-arm": None,
 }
+
+ALGORITHMS = tuple(ALGORITHM_FEEDBACK)
 
 
 class ScenarioError(ValueError):
@@ -49,32 +49,29 @@ class Scenario:
     delta: float | None = None
 
     def __post_init__(self) -> None:
+        self.validate()
         if not self.checkpoints:
             self.checkpoints = default_checkpoints(self.horizon)
-        self.validate()
 
     def validate(self) -> None:
-        if self.num_players >= self.num_arms:
-            raise ScenarioError("num_players must be smaller than num_arms")
-        if len(self.means) != self.num_arms or len(self.capacities) != self.num_arms:
-            raise ScenarioError("means/capacities length must equal num_arms")
-        if sum(self.capacities) < self.num_players:
-            raise ScenarioError(
-                f"total capacity {sum(self.capacities)} cannot host "
-                f"{self.num_players} players"
+        try:
+            EnvSpec(
+                num_arms=self.num_arms,
+                num_players=self.num_players,
+                means=self.means,
+                capacities=self.capacities,
+                horizon=self.horizon,
+                feedback=self.feedback,
             )
-        if any(not 1 <= c <= self.num_players for c in self.capacities):
-            raise ScenarioError("capacities must lie in [1, num_players]")
-        if any(not 0.0 <= m <= 1.0 for m in self.means):
-            raise ScenarioError("means must lie in [0, 1]")
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(str(exc)) from exc
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ScenarioError(f"delta must lie in (0, 1), got {self.delta}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ScenarioError(f"unknown algorithms: {sorted(unknown)}")
-        if self.feedback not in ("sdi", "sda"):
-            raise ScenarioError("feedback must be 'sdi' or 'sda'")
-        if any(not 1 <= c <= self.horizon for c in self.checkpoints) or list(
-            self.checkpoints
-        ) != sorted(set(self.checkpoints)):
+        cps = list(self.checkpoints)
+        if cps != sorted(set(cps)) or any(not 1 <= c <= self.horizon for c in cps):
             raise ScenarioError("checkpoints must be strictly increasing and <= horizon")
 
     def means_for_seed(self, seed: int) -> list[float]:

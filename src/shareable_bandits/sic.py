@@ -193,22 +193,6 @@ def apply_decision(
     return None, new_active, players_left, alloc
 
 
-def broadcast_signal(step: int, arm: int, decision: LeaderDecision) -> bool:
-    """Flag bit ``step`` of ``arm`` in the leader's broadcast message.
-
-    Step 0 marks a rejected arm, step 1 an accepted one and step 2 the
-    least-favored arm; the arm's capacity bounds follow its flags as binary
-    values (``broadcast_message``).
-    """
-    if step == 0:
-        return arm in decision.rejected
-    if step == 1:
-        return arm in decision.accepted
-    if step == 2:
-        return arm == decision.least_favored
-    raise ValueError(f"unknown broadcast step {step}")
-
-
 def news_bits(nbits: int) -> int:
     """Message bits per arm with news: its flags and two nbits-wide bounds."""
     return NUM_FLAG_STEPS + 2 * nbits
@@ -233,7 +217,11 @@ def broadcast_message(
     """
     mask, payload = [], []
     for arm in active:
-        flags = [int(broadcast_signal(s, arm, decision)) for s in range(NUM_FLAG_STEPS)]
+        flags = [
+            int(arm in decision.rejected),
+            int(arm in decision.accepted),
+            int(arm == decision.least_favored),
+        ]
         news = any(flags) or (lower[arm], upper[arm]) != (lower_view[arm], upper_view[arm])
         mask.append(int(news))
         if news:
@@ -329,9 +317,7 @@ class SicSdaPolicy:
             raise ValueError("need at least two arms to orthogonalize")
         self.horizon = env.horizon
         self.rng = env.rng
-        if delta is None:
-            delta = env.delta if env.delta is not None else 2.0 / env.horizon
-        self.delta = delta
+        self.delta = 2.0 / env.horizon if delta is None else delta
 
         self.phase = "init"
         self._mode = _ORTHO

@@ -217,9 +217,6 @@ class CapacityBounds:
         self.lower[arm] = lo
         self.upper[arm] = hi
 
-    def snapshot(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(self.lower), tuple(self.upper)
-
 
 def update_capacity_bounds(
     stats: PlayerStats,

@@ -100,6 +100,8 @@ class TestRun:
         assert trace.final_regret == pytest.approx(0.0, abs=1e-9)
         assert trace.checkpoint_regret == (pytest.approx(0.0), pytest.approx(0.0))
         assert trace.optimal_mask.all()
+        assert trace.optimal_fraction(50) == 1.0
+        assert trace.optimal_fraction(0) == 0.0  # an empty window, not the whole run
 
     def test_worst_single_arm_regret_closed_form(self):
         spec = make_spec(horizon=300)

@@ -7,12 +7,14 @@ import pytest
 
 from shareable_bandits.cli import main
 from shareable_bandits.harness import (
+    POLICY_CLASSES,
     aggregate,
     emit_outputs,
     run_experiment,
     run_one,
 )
 from shareable_bandits.scenarios import (
+    ALGORITHMS,
     Scenario,
     ScenarioError,
     default_checkpoints,
@@ -82,10 +84,20 @@ class TestPresets:
 
 
 class TestScenarioValidation:
-    def test_infeasible_capacity_rejected(self):
-        with pytest.raises(ScenarioError, match="total capacity"):
-            tiny_scenario(num_players=3, num_arms=4,
-                          capacities=[0, 0, 1, 1], means=[0.5] * 4)
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            (dict(num_players=3, capacities=[0, 0, 1, 1], means=[0.5] * 4), "total capacity"),
+            (dict(horizon=0, checkpoints=[]), "horizon"),
+            (dict(horizon=-5, checkpoints=[]), "horizon"),
+            (dict(delta=2.0), "delta"),
+            (dict(delta=0.0), "delta"),
+        ],
+        ids=["infeasible-capacity", "zero-horizon", "negative-horizon", "delta-two", "delta-zero"],
+    )
+    def test_invalid_input_rejected(self, changes, match):
+        with pytest.raises(ScenarioError, match=match):
+            tiny_scenario(**changes)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ScenarioError, match="unknown algorithms"):
@@ -131,6 +143,9 @@ class TestRunExperiment:
                 var = sum((v - mean) ** 2 for v in vals) / len(vals)
                 assert agg.mean(alg, cp) == pytest.approx(mean)
                 assert agg.std(alg, cp) == pytest.approx(math.sqrt(var))
+
+    def test_every_algorithm_has_a_policy(self):
+        assert set(POLICY_CLASSES) == set(ALGORITHMS)
 
     def test_parallel_equals_serial(self):
         sc = tiny_scenario()
@@ -183,12 +198,27 @@ class TestCli:
         path.write_text(tiny_scenario().to_json())
         assert main(["validate", "--scenario", str(path)]) == 0
 
-    def test_validate_bad_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "changes, command",
+        [
+            ({"capacities": [1, 1, 1]}, ["validate"]),
+            ({"horizon": 0, "checkpoints": []}, ["validate"]),
+            ({"delta": 2.0}, ["validate"]),
+            ({}, ["run", "--horizon", "0"]),
+            ({}, ["run", "--delta", "2"]),
+        ],
+        ids=["short-capacities", "zero-horizon", "delta-two", "run-zero-horizon", "run-delta-two"],
+    )
+    def test_validate_bad_file(self, tmp_path, capsys, changes, command):
         data = json.loads(tiny_scenario().to_json())
-        data["capacities"] = [1, 1, 1]
+        data.update(changes)
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(data))
-        assert main(["validate", "--scenario", str(path)]) == 1
+        argv = [*command, "--scenario", str(path)]
+        if command[0] == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("invalid scenario: ")
 
     def test_run_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "sc.json"

@@ -66,23 +66,34 @@ class IdlestArmPolicy:
         self.phase = "explore"
         self._pulls = [0] * env.num_arms
         self._shared = [0] * env.num_arms
+        self._rates = [float("inf")] * env.num_arms  # inf until first pull
+        self._best = 0
+
+    def _rescan(self) -> None:
+        # index() finds the first of equal rates: ties go to the lower index.
+        self._best = self._rates.index(min(self._rates))
 
     def next_action(self, t: int) -> int:
         if t < self.num_arms:
             return _warmup_arm(self.player_id, t, self.num_arms)
-        best, best_rate = 0, float("inf")
-        for k in range(self.num_arms):
-            if self._pulls[k] == 0:
-                continue
-            rate = self._shared[k] / self._pulls[k]
-            if rate < best_rate:
-                best, best_rate = k, rate
-        return best
+        return self._best
 
     def observe(self, obs: Observation) -> None:
-        self._pulls[obs.arm] += 1
+        k = obs.arm
+        self._pulls[k] += 1
         if obs.shared:
-            self._shared[obs.arm] += 1
+            self._shared[k] += 1
+        old = self._rates[k]
+        rate = self._shared[k] / self._pulls[k]
+        self._rates[k] = rate
+        # Full argmin rescans only when the idlest arm's rate rises.
+        if k == self._best:
+            if rate > old:
+                self._rescan()
+        elif rate < self._rates[self._best] or (
+            rate == self._rates[self._best] and k < self._best
+        ):
+            self._best = k
 
 
 class FixedArmPolicy:

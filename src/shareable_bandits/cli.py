@@ -10,12 +10,19 @@ from .harness import emit_outputs, run_experiment
 from .scenarios import ALGORITHMS, Scenario, ScenarioError, load_scenario, preset_scenarios
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _parse_ints(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip()]
+    return [_parse_int(s) for s in text.split(",") if s.strip()]
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return _parse_ints(text) if "," in text else list(range(int(text)))
+    return _parse_ints(text) if "," in text else list(range(_parse_int(text)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,11 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"algorithm(s), comma separated or 'all'; choices: {', '.join(ALGORITHMS)}",
     )
     run_p.add_argument("--horizon", type=int, default=None)
-    run_p.add_argument("--seeds", default=None, help="count N or comma list")
+    run_p.add_argument("--seeds", type=_parse_seeds, default=None,
+                       help="count N or comma list")
     run_p.add_argument("--delta", type=float, default=None,
                        help="confidence level for capacity brackets (default 2/T)")
     run_p.add_argument("--feedback", choices=["sdi", "sda"], default=None)
-    run_p.add_argument("--checkpoints", default=None, help="comma list of slots")
+    run_p.add_argument("--checkpoints", type=_parse_ints, default=None,
+                       help="comma list of slots")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--jobs", type=int, default=1)
 
@@ -61,10 +70,10 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         changes["algorithms"] = (
             list(ALGORITHMS) if args.algo == "all" else args.algo.split(",")
         )
-    if args.seeds:
-        changes["seeds"] = _parse_seeds(args.seeds)
+    if args.seeds is not None:
+        changes["seeds"] = args.seeds
     if args.checkpoints:
-        changes["checkpoints"] = _parse_ints(args.checkpoints)
+        changes["checkpoints"] = args.checkpoints
     return dataclasses.replace(scenario, **changes)
 
 

@@ -178,6 +178,7 @@ class DpeSdiPolicy:
         self._t = 0
         self.num_players: int | None = None
         self.rank: int | None = None
+        self._leader = False  # rank == 0, fixed with the rank
 
         # Orthogonalization bookkeeping.
         self._ortho_slot = 0
@@ -187,10 +188,14 @@ class DpeSdiPolicy:
         self._warm_slot = 0
 
         # Shared (follower-synchronized) state; populated by the bootstrap.
+        # The round plan (profile, rotation table, united-exploration arms) is
+        # a function of the view and is rebuilt only after the view changes.
         self.view = SharedInfo()
+        self._view_changed = True
         self._round_slot = 0
         self._profile: list[int] = []
-        self._prefix: list[int] = []
+        # _rotation[(rank + t) % M] == rotation_arm(rank, t, prefix of _profile)
+        self._rotation: list[int] = []
         self._ue_arms: list[int] = []
         self._detected = False
         self._idle_arm = 0
@@ -201,6 +206,10 @@ class DpeSdiPolicy:
         self.stats: PlayerStats | None = None
         self.bounds: CapacityBounds | None = None
         self._candidate: SharedInfo | None = None
+        self._bracket_inputs: list[tuple[int, int] | None] = []
+        self._order: list[int] = []  # arms by (-mu, k) at the last oracle call
+        self._oracle_caps: list[int] | None = None
+        self._opt: tuple[tuple[int, ...], int] | None = None  # counts, least
         self._explore_set: list[int] = []
         self._pending = False
         self._park_arm = 0
@@ -212,22 +221,24 @@ class DpeSdiPolicy:
     def is_leader(self) -> bool:
         return self.rank == 0
 
-    def _begin_round(self) -> None:
-        self._mode = _ROUND
-        self._round_slot = 0
-        self._detected = False
+    def _plan_round(self) -> None:
+        """Rebuild the round plan from the view; raises on a corrupt view."""
         self._profile = recover_profile(self.view, self.num_players)
-        prefix, total = [], 0
-        for c in self._profile:
-            total += c
-            prefix.append(total)
-        self._prefix = prefix
+        self._rotation = [arm for arm, c in enumerate(self._profile) for _ in range(c)]
         self._ue_arms = [
             k
             for k in sorted(self.view.optimal_set)
             if self.view.cap_lower[k] != self.view.cap_upper[k]
         ]
-        if self.is_leader and self._pending:
+        self._view_changed = False
+
+    def _begin_round(self) -> None:
+        self._mode = _ROUND
+        self._round_slot = 0
+        self._detected = False
+        if self._view_changed:
+            self._plan_round()
+        if self._leader and self._pending:
             self.phase = "comm"
             self._park_arm = max(
                 self.view.optimal_set, key=lambda k: (self.stats.mu_hat(k), -k)
@@ -240,7 +251,7 @@ class DpeSdiPolicy:
         self._comm_slot = 0
         self._least_signals = 0
         self.phase = "comm"
-        if self.is_leader:
+        if self._leader:
             assert self._candidate is not None
             self._comm_arms = comm_send_arms(
                 self._candidate,
@@ -251,7 +262,7 @@ class DpeSdiPolicy:
             )[self.num_players :]
 
     def _finish_steps(self) -> None:
-        if self.is_leader:
+        if self._leader:
             # Mirror what followers applied from our signals.
             cand = self._candidate
             assert cand is not None
@@ -263,6 +274,7 @@ class DpeSdiPolicy:
                 if cand.cap_upper[k] < self.view.cap_upper[k]:
                     self.view.cap_upper[k] -= 1
             self._pending = self.view != cand
+            self._view_changed = True
         else:
             if self._least_signals != 1:
                 raise ProtocolCorruptionError(
@@ -274,27 +286,54 @@ class DpeSdiPolicy:
         """Refresh bounds, the optimal assignment, and the probe set."""
         stats, bounds = self.stats, self.bounds
         assert stats is not None and bounds is not None
+        # A bracket update is a function of the arm's sums and counts, and the
+        # sums move only with the counts; repeating one changes nothing.
+        seen = self._bracket_inputs
         for k in range(self.num_arms):
             if stats.ue_count[k] > 0:
-                update_capacity_bounds(stats, k, bounds, self.delta)
+                inputs = (stats.ie_count[k], stats.ue_count[k])
+                if seen[k] != inputs:
+                    seen[k] = inputs
+                    update_capacity_bounds(stats, k, bounds, self.delta)
         mu = [stats.mu_hat(k) for k in range(self.num_arms)]
-        opt = oracle(mu, bounds.lower, self.num_players)
-        least = opt.least_favored
+        # The oracle's profile and least-favored arm depend only on the arm
+        # order by (-mu, k) and on the capacities: reuse them while both hold.
+        order = self._order
+        if bounds.lower != self._oracle_caps or any(
+            mu[j] > mu[k] or (mu[j] == mu[k] and j < k)
+            for k, j in zip(order, order[1:])
+        ):
+            opt = oracle(mu, bounds.lower, self.num_players)
+            self._order = sorted(range(self.num_arms), key=lambda k: (-mu[k], k))
+            self._oracle_caps = list(bounds.lower)
+            previous = self._opt
+            self._opt = opt.profile.counts, opt.least_favored
+            profile_changed = self._opt != previous
+        else:
+            profile_changed = False
+        counts, least = self._opt
         self._explore_set = [
             k
             for k in range(self.num_arms)
-            if opt.profile.counts[k] == 0
+            if counts[k] == 0
             and klucb_at_least(mu[k], stats.ie_count[k], self._t + 1, mu[least])
         ]
-        self._candidate = SharedInfo(
-            {k for k, c in enumerate(opt.profile.counts) if c > 0},
-            least,
-            list(bounds.lower),
-            list(bounds.upper),
-        )
+        cand = self._candidate
+        if (
+            profile_changed
+            or cand.cap_lower != bounds.lower
+            or cand.cap_upper != bounds.upper
+        ):
+            self._candidate = SharedInfo(
+                {k for k, c in enumerate(counts) if c > 0},
+                least,
+                list(bounds.lower),
+                list(bounds.upper),
+            )
         if self.num_players == 1:
             # Nobody to inform; adopt updates directly.
             self.view = self._candidate.copy()
+            self._view_changed = True
             self._pending = False
         else:
             self._pending = self.view != self._candidate
@@ -307,10 +346,10 @@ class DpeSdiPolicy:
         if mode == _ROUND:
             s = self._round_slot
             if s < self.num_players:
-                if self.is_leader:
+                if self._leader:
                     if self._pending:
                         return self._park_arm
-                    target = rotation_arm(0, t, self._prefix)
+                    target = self._rotation[t % self.num_players]
                     if (
                         target == self.view.least_favored
                         and self._explore_set
@@ -321,10 +360,10 @@ class DpeSdiPolicy:
                     return target
                 if self._detected:
                     return self._idle_arm
-                return rotation_arm(self.rank, t, self._prefix)
+                return self._rotation[(self.rank + t) % self.num_players]
             return self._ue_arms[s - self.num_players]
         if mode == _STEPS:
-            if self.is_leader:
+            if self._leader:
                 return self._comm_arms[self._comm_slot]
             return self._comm_slot % self.num_arms
         if mode == _RALLY:
@@ -344,7 +383,7 @@ class DpeSdiPolicy:
         if mode == _WARMUP:
             return (self._warm_slot + self.rank) % self.num_arms
         if mode == _PARK:
-            return self._park_arm if self.is_leader else self.rank
+            return self._park_arm if self._leader else self.rank
         raise RuntimeError(f"unknown mode {mode!r}")
 
     def observe(self, obs: Observation) -> None:
@@ -368,7 +407,7 @@ class DpeSdiPolicy:
 
     def _observe_round(self, obs: Observation) -> None:
         s = self._round_slot
-        leader = self.is_leader
+        leader = self._leader
         if s < self.num_players:
             if leader:
                 if obs.count <= self.bounds.lower[obs.arm] and not self._pending:
@@ -391,13 +430,13 @@ class DpeSdiPolicy:
             self._end_round()
 
     def _end_round(self) -> None:
-        if self.is_leader:
+        if self._leader:
             self._leader_update()
         self._begin_round()
 
     def _observe_steps(self, obs: Observation) -> None:
         s = self._comm_slot
-        if not self.is_leader and obs.count == self.num_players:
+        if not self._leader and obs.count == self.num_players:
             step, arm = divmod(s, self.num_arms)
             if step == 2:
                 self._least_signals += 1
@@ -406,6 +445,7 @@ class DpeSdiPolicy:
                         "two least-favored signals in one broadcast round"
                     )
             comm_apply(self.view, step, arm)
+            self._view_changed = True
         self._comm_slot = s + 1
         if self._comm_slot == NUM_COMM_STEPS * self.num_arms:
             self._finish_steps()
@@ -425,6 +465,7 @@ class DpeSdiPolicy:
         if s == 0:
             if self.rank is None and obs.count == 1:
                 self.rank = self._claim_arm
+                self._leader = self.rank == 0
         else:
             if obs.shared:
                 self._saw_sharing = True
@@ -446,12 +487,14 @@ class DpeSdiPolicy:
         self.view = SharedInfo(
             set(), None, [1] * self.num_arms, [self.num_players] * self.num_arms
         )
-        if self.is_leader:
+        self._view_changed = True
+        if self._leader:
             self.stats = PlayerStats(self.num_arms)
             self.bounds = CapacityBounds(self.num_arms, self.num_players)
+            self._bracket_inputs = [None] * self.num_arms
 
     def _observe_warmup(self, obs: Observation) -> None:
-        if self.is_leader:
+        if self._leader:
             if obs.count != 1:
                 raise ProtocolCorruptionError("warm-up sweep arm was not exclusive")
             self.stats.add_individual(obs.arm, obs.reward)
@@ -461,7 +504,7 @@ class DpeSdiPolicy:
                 self._leader_update()
                 self._begin_round()
                 return
-            if self.is_leader:
+            if self._leader:
                 self._leader_update()
                 self._park_arm = max(
                     range(self.num_arms), key=lambda k: (self.stats.mu_hat(k), -k)

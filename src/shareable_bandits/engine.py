@@ -87,18 +87,17 @@ class RunTrace:
 
 def _slot(
     actions: Sequence[int],
-    row: Sequence[float],
-    means: Sequence[float],
+    row: bytes,
     caps: Sequence[int],
     sdi: bool,
 ) -> tuple[dict[int, int], list[Observation]]:
     """Apply the reward rule to one slot: min(a_k, m_k) * X_k per arm.
 
-    ``row`` holds one uniform per arm; X_k is 1 when it falls below the
-    arm's mean. Returns the players per arm and each player's own
+    ``row`` holds one byte per arm, X_k: 1 when the arm's uniform fell below
+    its mean. Returns the players per arm and each player's own
     observation, in action order.
     """
-    num_arms = len(means)
+    num_arms = len(caps)
     counts: dict[int, int] = {}
     for a in actions:
         if a in counts:
@@ -110,7 +109,7 @@ def _slot(
     out = []
     for a in actions:
         c = counts[a]
-        x = 1.0 if row[a] < means[a] else 0.0
+        x = 1.0 if row[a] else 0.0
         reward = (c if c <= caps[a] else caps[a]) * x
         out.append(Observation(a, reward, c if sdi else None, c > 1))
     return counts, out
@@ -128,9 +127,9 @@ def step(
         raise ValueError(
             f"expected {spec.num_players} actions, got {len(actions)}"
         )
-    draws = rng.random(spec.num_arms)
+    row = (rng.random(spec.num_arms) < np.asarray(spec.means)).tobytes()
     sdi = spec.feedback is Feedback.SDI
-    return _slot(actions, draws, spec.means, spec.capacities, sdi)[1]
+    return _slot(actions, row, spec.capacities, sdi)[1]
 
 
 def run(
@@ -180,16 +179,19 @@ def run(
     last_phase: str | None = None
 
     regret = 0.0
-    draws = np.empty((0, K))
-    base = 0
+    means_array = np.asarray(means)
+    draws = b""  # X_k bytes of the chunk's slots, K per slot
+    offset = 0
     for t in range(T):
-        if t - base >= len(draws):
-            base = t
-            draws = env_rng.random((min(_CHUNK, T - t), K))
+        if offset == len(draws):
+            offset = 0
+            draws = (env_rng.random((min(_CHUNK, T - t), K)) < means_array).tobytes()
+        row = draws[offset : offset + K]
+        offset += K
 
         arms = [p.next_action(t) for p in policies]
         try:
-            counts, observations = _slot(arms, draws[t - base], means, caps, sdi)
+            counts, observations = _slot(arms, row, caps, sdi)
         except InvalidActionError as exc:
             raise InvalidActionError(f"{exc} at slot {t}") from None
 

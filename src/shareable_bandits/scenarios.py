@@ -67,6 +67,10 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ScenarioError(f"delta must lie in (0, 1), got {self.delta}")
+        if any(
+            not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in self.seeds
+        ):
+            raise ScenarioError(f"seeds must be non-negative integers, got {self.seeds}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ScenarioError(f"unknown algorithms: {sorted(unknown)}")

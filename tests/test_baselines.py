@@ -103,6 +103,20 @@ class TestIdlestArm:
             policy.observe(Observation(arm, 0.0, 1, False))
         assert policy.next_action(50) == 0
 
+    def test_incremental_argmin_matches_full_scan(self):
+        rng = np.random.default_rng(8)
+        policy = IdlestArmPolicy(0, make_env(num_arms=5))
+        for _ in range(2000):
+            arm = int(rng.integers(5))
+            shared = bool(rng.integers(2))
+            policy.observe(Observation(arm, 0.0, 2 if shared else 1, shared))
+            rates = [
+                policy._shared[k] / policy._pulls[k] if policy._pulls[k] else float("inf")
+                for k in range(5)
+            ]
+            best = min(range(5), key=lambda k: (rates[k], k))
+            assert policy.next_action(10) == best
+
 
 class TestDummies:
     def test_fixed_profile_factory_spreads_players(self):

@@ -1,3 +1,6 @@
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from shareable_bandits.dpe import (
     rotation_arm,
 )
 from shareable_bandits.engine import Observation, PublicEnvInfo, run
-from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for
+from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for, oracle
+from shareable_bandits.stats import update_capacity_bounds
 
 from oracles import simulate_leader_broadcast
 
@@ -155,6 +159,24 @@ def transfer_through_counts(new, view, num_players, num_arms):
     return result
 
 
+class TestRoundPlan:
+    def test_rotation_table_matches_rotation_arm(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            num_arms = int(rng.integers(3, 10))
+            num_players = int(rng.integers(1, num_arms))
+            env = PublicEnvInfo(num_arms, 1000, Feedback.SDI, np.random.default_rng(0))
+            policy = DpeSdiPolicy(0, env)
+            policy.num_players = num_players
+            policy.view = random_shared_info(rng, num_arms, num_players)
+            policy._plan_round()
+            prefix = list(itertools.accumulate(recover_profile(policy.view, num_players)))
+            for rank in range(num_players):
+                for t in range(num_players):
+                    expected = rotation_arm(rank, t, prefix)
+                    assert policy._rotation[(rank + t) % num_players] == expected
+
+
 class TestBroadcastProtocol:
     def test_single_least_favored_change(self):
         view = SharedInfo({0, 1}, 0, [2, 1, 1, 1], [3, 3, 3, 3])
@@ -282,6 +304,53 @@ class TestEndToEnd:
 
         run(DpeSdiPolicy, spec, probe=probe)
         assert bad == []
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(num_arms=3, num_players=1, means=(0.5, 0.7, 0.3), capacities=(1, 1, 1)),
+            dict(num_players=4),
+            dict(means=(0.6, 0.6, 0.6, 0.3, 0.3), capacities=(1, 2, 1, 1, 1)),
+            dict(num_arms=4, means=(0.8, 0.5, 0.4, 0.2), capacities=(3, 1, 2, 1)),
+        ],
+        ids=["one-player", "players-one-below-arms", "tied-means", "capacity-equals-players"],
+    )
+    def test_cached_state_matches_recomputation(self, changes):
+        """Whatever the caches skip recomputing would come out the same."""
+        spec = make_spec(horizon=3000, **changes)
+        num_players = spec.num_players
+        checked = {"leader": 0, "plans": 0}
+
+        def probe(t, policies, counts):
+            for p in policies:
+                if p._mode != "explore-round" or p._round_slot != 0:
+                    continue
+                profile = recover_profile(p.view, num_players)
+                prefix = list(itertools.accumulate(profile))
+                assert p._profile == profile
+                assert p._rotation == [
+                    rotation_arm(0, j, prefix) for j in range(num_players)
+                ]
+                assert p._ue_arms == sorted(
+                    k for k in p.view.optimal_set
+                    if p.view.cap_lower[k] != p.view.cap_upper[k]
+                )
+                checked["plans"] += 1
+                if p.rank != 0:
+                    continue
+                stats, bounds = p.stats, p.bounds
+                mu = [stats.mu_hat(k) for k in range(spec.num_arms)]
+                opt = oracle(mu, bounds.lower, num_players)
+                assert p._opt == (opt.profile.counts, opt.least_favored)
+                fresh = copy.deepcopy(bounds)
+                for k in range(spec.num_arms):
+                    if stats.ue_count[k] > 0:
+                        update_capacity_bounds(stats, k, fresh, p.delta)
+                assert (fresh.lower, fresh.upper) == (bounds.lower, bounds.upper)
+                checked["leader"] += 1
+
+        run(DpeSdiPolicy, spec, probe=probe)
+        assert checked["leader"] > 10 and checked["plans"] > 10
 
     def test_converges_on_easy_instance(self):
         spec = make_spec(horizon=4000)

@@ -92,8 +92,11 @@ class TestScenarioValidation:
             (dict(horizon=-5, checkpoints=[]), "horizon"),
             (dict(delta=2.0), "delta"),
             (dict(delta=0.0), "delta"),
+            (dict(seeds=[0, -1]), "seeds"),
+            (dict(seeds=[0.5]), "seeds"),
         ],
-        ids=["infeasible-capacity", "zero-horizon", "negative-horizon", "delta-two", "delta-zero"],
+        ids=["infeasible-capacity", "zero-horizon", "negative-horizon", "delta-two",
+             "delta-zero", "negative-seed", "fractional-seed"],
     )
     def test_invalid_input_rejected(self, changes, match):
         with pytest.raises(ScenarioError, match=match):
@@ -204,10 +207,12 @@ class TestCli:
             ({"capacities": [1, 1, 1]}, ["validate"]),
             ({"horizon": 0, "checkpoints": []}, ["validate"]),
             ({"delta": 2.0}, ["validate"]),
+            ({"seeds": [-1]}, ["validate"]),
             ({}, ["run", "--horizon", "0"]),
             ({}, ["run", "--delta", "2"]),
         ],
-        ids=["short-capacities", "zero-horizon", "delta-two", "run-zero-horizon", "run-delta-two"],
+        ids=["short-capacities", "zero-horizon", "delta-two", "negative-seed",
+             "run-zero-horizon", "run-delta-two"],
     )
     def test_validate_bad_file(self, tmp_path, capsys, changes, command):
         data = json.loads(tiny_scenario().to_json())
@@ -219,6 +224,16 @@ class TestCli:
             argv += ["--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("invalid scenario: ")
+
+    @pytest.mark.parametrize("option", ["--seeds", "--checkpoints"])
+    def test_non_integer_option_is_usage_error(self, tmp_path, capsys, option):
+        path = tmp_path / "sc.json"
+        path.write_text(tiny_scenario().to_json())
+        argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out"), option, "x"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: expected " in capsys.readouterr().err
 
     def test_run_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "sc.json"

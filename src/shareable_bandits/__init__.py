@@ -25,7 +25,8 @@ from .model import (
     oracle,
     per_slot_regret,
 )
-from .dpe import DpeSdiPolicy, ProtocolCorruptionError, UnsupportedFeedbackError
+from .protocol import ProtocolCorruptionError
+from .dpe import DpeSdiPolicy, UnsupportedFeedbackError
 from .sic import SicSdaPolicy
 from .baselines import FixedArmPolicy, HighestRewardPolicy, IdlestArmPolicy
 from .scenarios import Scenario, ScenarioError, load_scenario, preset_scenarios

@@ -69,10 +69,6 @@ class IdlestArmPolicy:
         self._rates = [float("inf")] * env.num_arms  # inf until first pull
         self._best = 0
 
-    def _rescan(self) -> None:
-        # index() finds the first of equal rates: ties go to the lower index.
-        self._best = self._rates.index(min(self._rates))
-
     def next_action(self, t: int) -> int:
         if t < self.num_arms:
             return _warmup_arm(self.player_id, t, self.num_arms)
@@ -83,17 +79,10 @@ class IdlestArmPolicy:
         self._pulls[k] += 1
         if obs.shared:
             self._shared[k] += 1
-        old = self._rates[k]
-        rate = self._shared[k] / self._pulls[k]
-        self._rates[k] = rate
-        # Full argmin rescans only when the idlest arm's rate rises.
-        if k == self._best:
-            if rate > old:
-                self._rescan()
-        elif rate < self._rates[self._best] or (
-            rate == self._rates[self._best] and k < self._best
-        ):
-            self._best = k
+        rates = self._rates
+        rates[k] = self._shared[k] / self._pulls[k]
+        # index() finds the first of equal rates: ties go to the lower index.
+        self._best = rates.index(min(rates))
 
 
 class FixedArmPolicy:

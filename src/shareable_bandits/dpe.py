@@ -3,10 +3,19 @@
 One player becomes the leader after a rally-and-orthogonalize start. The
 leader alone gathers statistics, maintains the empirical optimal assignment,
 and occasionally probes weaker arms; followers replay the assignment via a
-rotation rule. Whenever the leader's published state changes it runs a
-six-step broadcast: it first parks on a busy arm so followers notice an
-impossible sharing count, then flags per-arm updates by joining the
-followers' synchronized sweep, one step per field.
+rotation rule, following the DPE line of work (Wang, Proutière et al.,
+AISTATS 2020). Whenever the leader's published state changes it parks on a
+busy arm for the first M slots of a round, so followers notice an
+impossible sharing count, and then broadcasts the change.
+
+Extension beyond the paper: the broadcast is the binary message of
+``protocol.broadcast_message``, the codec SIC-SDA also uses, instead of
+unary steps that move each capacity bound one unit per round. Followers
+listen together on arm 0 and read a 1 when its count is M; the leader
+joins arm 0 for a 1 bit and sits on arm 1 for a 0 bit. One round carries
+the whole change. In a view that puts every player on one arm P, parking
+adds nobody to P's count, so the leader instead signals by leaving P at
+round slot 0.
 """
 
 from __future__ import annotations
@@ -15,18 +24,19 @@ from dataclasses import dataclass, field
 
 from .engine import Observation, PublicEnvInfo
 from .model import Feedback, oracle
+from .protocol import (
+    LeaderDecision,
+    ProtocolCorruptionError,
+    bound_bits,
+    broadcast_message,
+    news_bits,
+    read_broadcast,
+)
 from .stats import CapacityBounds, PlayerStats, klucb_at_least, update_capacity_bounds
 
 
 class UnsupportedFeedbackError(ValueError):
     """The policy cannot operate under the environment's feedback mode."""
-
-
-class ProtocolCorruptionError(RuntimeError):
-    """Players' synchronized state diverged; signals a desync bug."""
-
-
-NUM_COMM_STEPS = 5  # steps 2..6 of the broadcast, one field each
 
 
 @dataclass
@@ -91,66 +101,12 @@ def rotation_arm(rank: int, t: int, prefix: list[int]) -> int:
     raise ProtocolCorruptionError("rotation rank exceeded assignment total")
 
 
-def comm_send_arms(
-    new: SharedInfo,
-    view: SharedInfo,
-    park_arm: int,
-    num_players: int,
-    num_arms: int,
-) -> list[int]:
-    """Leader's full arm schedule for one broadcast round.
-
-    ``num_players`` parking slots followed by five K-slot steps; at step
-    sub-slot k the leader joins the followers on arm k iff that step's
-    condition holds, else it sits on an arm the followers are not sweeping.
-    Capacity bounds move at most one unit per round; the leader re-runs
-    rounds until its view converges.
-    """
-    arms = [park_arm] * num_players
-    for step in range(NUM_COMM_STEPS):
-        for k in range(num_arms):
-            if step == 0:
-                signal = k in view.optimal_set and k not in new.optimal_set
-            elif step == 1:
-                signal = k in new.optimal_set and k not in view.optimal_set
-            elif step == 2:
-                signal = k == new.least_favored
-            elif step == 3:
-                signal = new.cap_lower[k] > view.cap_lower[k]
-            else:
-                signal = new.cap_upper[k] < view.cap_upper[k]
-            arms.append(k if signal else (k + 1) % num_players)
-    return arms
-
-
-def comm_apply(view: SharedInfo, step: int, arm: int) -> None:
-    """Apply one detected broadcast signal to a player's shared state."""
-    if step == 0:
-        if arm not in view.optimal_set:
-            raise ProtocolCorruptionError(f"removal signal for absent arm {arm}")
-        view.optimal_set.discard(arm)
-    elif step == 1:
-        if arm in view.optimal_set:
-            raise ProtocolCorruptionError(f"addition signal for present arm {arm}")
-        view.optimal_set.add(arm)
-    elif step == 2:
-        view.least_favored = arm
-    elif step == 3:
-        view.cap_lower[arm] += 1
-    elif step == 4:
-        view.cap_upper[arm] -= 1
-        if view.cap_upper[arm] < 1:
-            raise ProtocolCorruptionError(f"capacity upper bound of arm {arm} below 1")
-    else:
-        raise ValueError(f"unknown communication step {step}")
-
-
 # Internal mode tags for the per-player state machine.
 _RALLY = "rally"
 _ORTHO = "orthogonalize"
 _WARMUP = "warmup"
 _PARK = "bootstrap-park"
-_STEPS = "comm-steps"
+_BROADCAST = "comm-broadcast"
 _ROUND = "explore-round"
 
 
@@ -197,10 +153,13 @@ class DpeSdiPolicy:
         # _rotation[(rank + t) % M] == rotation_arm(rank, t, prefix of _profile)
         self._rotation: list[int] = []
         self._ue_arms: list[int] = []
+        self._single_arm = False  # the view puts every player on one arm
         self._detected = False
         self._idle_arm = 0
         self._comm_slot = 0
-        self._least_signals = 0
+        self._comm_len = 0  # broadcast slots, known once the news mask is in
+        self._nbits = 0
+        self._message: list[int] = []  # leader: bits to send; follower: heard
 
         # Leader-only state.
         self.stats: PlayerStats | None = None
@@ -213,7 +172,6 @@ class DpeSdiPolicy:
         self._explore_set: list[int] = []
         self._pending = False
         self._park_arm = 0
-        self._comm_arms: list[int] = []
 
     # -- helpers ----------------------------------------------------------
 
@@ -230,6 +188,7 @@ class DpeSdiPolicy:
             for k in sorted(self.view.optimal_set)
             if self.view.cap_lower[k] != self.view.cap_upper[k]
         ]
+        self._single_arm = len(self.view.optimal_set) == 1
         self._view_changed = False
 
     def _begin_round(self) -> None:
@@ -246,40 +205,56 @@ class DpeSdiPolicy:
         else:
             self.phase = "explore"
 
-    def _begin_steps(self) -> None:
-        self._mode = _STEPS
+    def _begin_broadcast(self) -> None:
+        self._mode = _BROADCAST
         self._comm_slot = 0
-        self._least_signals = 0
+        self._comm_len = self.num_arms  # the news mask goes first
         self.phase = "comm"
         if self._leader:
-            assert self._candidate is not None
-            self._comm_arms = comm_send_arms(
-                self._candidate,
-                self.view,
-                self._park_arm,
-                self.num_players,
-                self.num_arms,
-            )[self.num_players :]
-
-    def _finish_steps(self) -> None:
-        if self._leader:
-            # Mirror what followers applied from our signals.
-            cand = self._candidate
-            assert cand is not None
-            self.view.optimal_set = set(cand.optimal_set)
-            self.view.least_favored = cand.least_favored
-            for k in range(self.num_arms):
-                if cand.cap_lower[k] > self.view.cap_lower[k]:
-                    self.view.cap_lower[k] += 1
-                if cand.cap_upper[k] < self.view.cap_upper[k]:
-                    self.view.cap_upper[k] -= 1
-            self._pending = self.view != cand
-            self._view_changed = True
+            cand, view = self._candidate, self.view
+            decision = LeaderDecision(
+                accepted=cand.optimal_set - view.optimal_set,
+                rejected=view.optimal_set - cand.optimal_set,
+                least_favored=(
+                    cand.least_favored
+                    if cand.least_favored != view.least_favored
+                    else None
+                ),
+            )
+            self._message = broadcast_message(
+                decision,
+                range(self.num_arms),
+                view.cap_lower,
+                view.cap_upper,
+                cand.cap_lower,
+                cand.cap_upper,
+                self._nbits,
+            )
         else:
-            if self._least_signals != 1:
-                raise ProtocolCorruptionError(
-                    f"saw {self._least_signals} least-favored signals in one round"
-                )
+            self._message = []
+
+    def _finish_broadcast(self) -> None:
+        if self._leader:
+            # One message carries the whole change.
+            self.view = self._candidate.copy()
+            self._pending = False
+        else:
+            decision, bounds = read_broadcast(
+                self._message, range(self.num_arms), self._nbits
+            )
+            view = self.view
+            if decision.rejected - view.optimal_set:
+                raise ProtocolCorruptionError("removal signal for an absent arm")
+            if decision.accepted & view.optimal_set:
+                raise ProtocolCorruptionError("addition signal for a present arm")
+            view.optimal_set -= decision.rejected
+            view.optimal_set |= decision.accepted
+            if decision.least_favored is not None:
+                view.least_favored = decision.least_favored
+            for arm, (lower, upper) in bounds.items():
+                view.cap_lower[arm] = lower
+                view.cap_upper[arm] = upper
+        self._view_changed = True
         self._begin_round()
 
     def _leader_update(self) -> None:
@@ -348,11 +323,15 @@ class DpeSdiPolicy:
             if s < self.num_players:
                 if self._leader:
                     if self._pending:
+                        if s == 0 and self._single_arm:
+                            # Parking on P adds nobody; leaving it signals.
+                            return (self._park_arm + 1) % self.num_arms
                         return self._park_arm
                     target = self._rotation[t % self.num_players]
                     if (
                         target == self.view.least_favored
                         and self._explore_set
+                        and (s or not self._single_arm)  # not a false signal
                         and self.rng.random() < 0.5
                     ):
                         probes = self._explore_set
@@ -362,10 +341,11 @@ class DpeSdiPolicy:
                     return self._idle_arm
                 return self._rotation[(self.rank + t) % self.num_players]
             return self._ue_arms[s - self.num_players]
-        if mode == _STEPS:
+        if mode == _BROADCAST:
+            # Followers listen on arm 0; the leader joins it for a 1 bit.
             if self._leader:
-                return self._comm_arms[self._comm_slot]
-            return self._comm_slot % self.num_arms
+                return 0 if self._message[self._comm_slot] else 1
+            return 0
         if mode == _RALLY:
             return 0
         if mode == _ORTHO:
@@ -390,8 +370,8 @@ class DpeSdiPolicy:
         mode = self._mode
         if mode == _ROUND:
             self._observe_round(obs)
-        elif mode == _STEPS:
-            self._observe_steps(obs)
+        elif mode == _BROADCAST:
+            self._observe_broadcast(obs)
         elif mode == _RALLY:
             self._observe_rally(obs)
         elif mode == _ORTHO:
@@ -401,7 +381,7 @@ class DpeSdiPolicy:
         else:  # _PARK
             self._comm_slot += 1
             if self._comm_slot == self.num_players:
-                self._begin_steps()
+                self._begin_broadcast()
 
     # -- per-mode observation handlers --------------------------------------
 
@@ -413,17 +393,19 @@ class DpeSdiPolicy:
                 if obs.count <= self.bounds.lower[obs.arm] and not self._pending:
                     # Within the known capacity the per-load draw is exact.
                     self.stats.add_individual(obs.arm, obs.reward / obs.count)
-            elif not self._detected and obs.count > self._profile[obs.arm]:
+            elif not self._detected and (
+                s == 0 and obs.count < self.num_players
+                if self._single_arm
+                else obs.count > self._profile[obs.arm]
+            ):
                 self._detected = True
                 self._idle_arm = obs.arm
         elif leader:
             self.stats.add_united(obs.arm, obs.reward)
         self._round_slot = s + 1
         if self._round_slot == self.num_players:
-            if leader and self._pending:
-                self._begin_steps()
-            elif self._detected:
-                self._begin_steps()
+            if self._detected or (leader and self._pending):
+                self._begin_broadcast()
             elif not self._ue_arms:
                 self._end_round()
         elif self._round_slot == self.num_players + len(self._ue_arms):
@@ -434,21 +416,16 @@ class DpeSdiPolicy:
             self._leader_update()
         self._begin_round()
 
-    def _observe_steps(self, obs: Observation) -> None:
-        s = self._comm_slot
-        if not self._leader and obs.count == self.num_players:
-            step, arm = divmod(s, self.num_arms)
-            if step == 2:
-                self._least_signals += 1
-                if self._least_signals > 1:
-                    raise ProtocolCorruptionError(
-                        "two least-favored signals in one broadcast round"
-                    )
-            comm_apply(self.view, step, arm)
-            self._view_changed = True
-        self._comm_slot = s + 1
-        if self._comm_slot == NUM_COMM_STEPS * self.num_arms:
-            self._finish_steps()
+    def _observe_broadcast(self, obs: Observation) -> None:
+        if not self._leader:
+            self._message.append(int(obs.count == self.num_players))
+        self._comm_slot += 1
+        if self._comm_slot == self.num_arms:
+            # Every follower now holds the news mask, which sizes the rest.
+            news = sum(self._message[: self.num_arms])
+            self._comm_len += news * news_bits(self._nbits)
+        if self._comm_slot == self._comm_len:
+            self._finish_broadcast()
 
     def _observe_rally(self, obs: Observation) -> None:
         self.num_players = obs.count
@@ -488,6 +465,7 @@ class DpeSdiPolicy:
             set(), None, [1] * self.num_arms, [self.num_players] * self.num_arms
         )
         self._view_changed = True
+        self._nbits = bound_bits(self.num_players)
         if self._leader:
             self.stats = PlayerStats(self.num_arms)
             self.bounds = CapacityBounds(self.num_arms, self.num_players)

@@ -21,7 +21,8 @@ communication:
   exploration profile instead of piling idle players onto one arm;
 - the broadcast runs once per phase: a news mask with one bit per active
   arm, then flags and binary bounds for the flagged arms only, rather than
-  unary rounds that move each bound by one unit;
+  unary rounds that move each bound by one unit (the codec is
+  ``protocol.broadcast_message``, shared with DPE-SDI);
 - a united-exploration rally uses min(M_t, upper bound) players, the
   fewest that still saturate the arm;
 - upload cells are sized by the largest per-arm load, not by M;
@@ -34,27 +35,17 @@ shared flag is implied by the count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .dpe import ProtocolCorruptionError
 from .engine import Observation, PublicEnvInfo
+from .protocol import (
+    LeaderDecision,
+    ProtocolCorruptionError,
+    bound_bits,
+    broadcast_message,
+    encode_stat,
+    news_bits,
+    read_broadcast,
+)
 from .stats import CapacityBounds, PlayerStats, means_separated, update_capacity_bounds
-
-NUM_FLAG_STEPS = 3  # reject / accept / least-favored bits per active arm
-
-
-def encode_stat(value: int, nbits: int) -> list[int]:
-    """MSB-first bit encoding of a non-negative integer reward sum."""
-    if value < 0 or value >= 1 << nbits:
-        raise ValueError(f"value {value} does not fit in {nbits} bits")
-    return [(value >> (nbits - 1 - b)) & 1 for b in range(nbits)]
-
-
-def decode_bits(bits: list[int]) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | (1 if b else 0)
-    return out
 
 
 def upload_bits(phase: int, max_load: int) -> int:
@@ -65,11 +56,6 @@ def upload_bits(phase: int, max_load: int) -> int:
     per-arm exploration allocation (at most M).
     """
     return phase + 1 + (max_load - 1).bit_length()
-
-
-def bound_bits(num_players: int) -> int:
-    """Bits per broadcast capacity bound: a bound b in [1, M] is sent as b - 1."""
-    return max(1, (num_players - 1).bit_length())
 
 
 def rank_assign_arm(ext_rank: int, slot: int, num_arms: int) -> int:
@@ -83,15 +69,6 @@ def rank_assign_arm(ext_rank: int, slot: int, num_arms: int) -> int:
     if slot <= 2 * ext_rank or slot >= num_arms + ext_rank:
         return ext_rank - 1
     return slot - ext_rank - 1
-
-
-@dataclass
-class LeaderDecision:
-    """Output of one accept/reject evaluation, broadcast to followers."""
-
-    accepted: set[int] = field(default_factory=set)
-    rejected: set[int] = field(default_factory=set)
-    least_favored: int | None = None
 
 
 def evaluate_accept_reject(
@@ -191,75 +168,6 @@ def apply_decision(
                 f"{surplus} players cannot be packed under the capacity lower bounds"
             )
     return None, new_active, players_left, alloc
-
-
-def news_bits(nbits: int) -> int:
-    """Message bits per arm with news: its flags and two nbits-wide bounds."""
-    return NUM_FLAG_STEPS + 2 * nbits
-
-
-def broadcast_message(
-    decision: LeaderDecision,
-    active: list[int],
-    lower_view: list[int],
-    upper_view: list[int],
-    lower: list[int],
-    upper: list[int],
-    nbits: int,
-) -> list[int]:
-    """The bits the leader sends to each follower after a phase.
-
-    A news mask with one bit per active arm, set when the arm is flagged or
-    its bounds moved away from the shared view; then, for each arm in the
-    mask, its three flag bits and its lower and upper bound minus one, MSB
-    first in ``nbits`` bits each. The mask has a known length, and it fixes
-    the length of the rest.
-    """
-    mask, payload = [], []
-    for arm in active:
-        flags = [
-            int(arm in decision.rejected),
-            int(arm in decision.accepted),
-            int(arm == decision.least_favored),
-        ]
-        news = any(flags) or (lower[arm], upper[arm]) != (lower_view[arm], upper_view[arm])
-        mask.append(int(news))
-        if news:
-            payload += flags
-            payload += encode_stat(lower[arm] - 1, nbits)
-            payload += encode_stat(upper[arm] - 1, nbits)
-    return mask + payload
-
-
-def read_broadcast(
-    bits: list[int], active: list[int], nbits: int
-) -> tuple[LeaderDecision, dict[int, tuple[int, int]]]:
-    """Follower-side inverse of ``broadcast_message``.
-
-    Returns the decision and the (lower, upper) bracket of every arm in the
-    news mask; the other arms keep their bounds.
-    """
-    decision = LeaderDecision()
-    bounds = {}
-    pos = len(active)
-    for arm, news in zip(active, bits):
-        if not news:
-            continue
-        rejected, accepted, least = bits[pos : pos + NUM_FLAG_STEPS]
-        pos += NUM_FLAG_STEPS
-        if rejected:
-            decision.rejected.add(arm)
-        if accepted:
-            decision.accepted.add(arm)
-        if least:
-            if decision.least_favored is not None:
-                raise ProtocolCorruptionError("two different least-favored signals")
-            decision.least_favored = arm
-        lower = decode_bits(bits[pos : pos + nbits]) + 1
-        upper = decode_bits(bits[pos + nbits : pos + 2 * nbits]) + 1
-        pos += 2 * nbits
-        bounds[arm] = (lower, upper)
-    return decision, bounds
 
 
 def anchored_arm(rank: int, active: list[int], lower: list[int]) -> int:

@@ -116,56 +116,6 @@ def simulate_rank_assignment(num_arms: int, ext_ranks: list[int]):
     return ranks, totals, transcript
 
 
-def simulate_leader_broadcast(
-    num_arms: int,
-    num_players: int,
-    view: dict,
-    target: dict,
-):
-    """Hand simulation of the five-step leader broadcast under SDI counts.
-
-    ``view``/``target`` are dicts with keys ``optimal`` (set), ``least``
-    (int), ``lower``/``upper`` (lists). Followers sweep arms 0..K-1 in each
-    step while the leader joins exactly where the step condition holds;
-    a sharing count of ``num_players`` applies the step's update. Returns
-    the follower state after the round and the signal transcript.
-    """
-    state = {
-        "optimal": set(view["optimal"]),
-        "least": view["least"],
-        "lower": list(view["lower"]),
-        "upper": list(view["upper"]),
-    }
-    signals = []
-    for step in range(5):
-        for k in range(num_arms):
-            if step == 0:
-                on = k in view["optimal"] and k not in target["optimal"]
-            elif step == 1:
-                on = k in target["optimal"] and k not in view["optimal"]
-            elif step == 2:
-                on = k == target["least"]
-            elif step == 3:
-                on = target["lower"][k] > view["lower"][k]
-            else:
-                on = target["upper"][k] < view["upper"][k]
-            leader_arm = k if on else (k + 1) % num_players
-            count = (num_players - 1) + (1 if leader_arm == k else 0)
-            if count == num_players:
-                signals.append((step, k))
-                if step == 0:
-                    state["optimal"].discard(k)
-                elif step == 1:
-                    state["optimal"].add(k)
-                elif step == 2:
-                    state["least"] = k
-                elif step == 3:
-                    state["lower"][k] += 1
-                else:
-                    state["upper"][k] -= 1
-    return state, signals
-
-
 def simulate_bit_upload(value: int, nbits: int):
     """Bit cell transcript: the sender's arm sequence and the decoded value.
 
@@ -182,25 +132,12 @@ def simulate_bit_upload(value: int, nbits: int):
     return arms, decoded
 
 
-def simulate_binary_broadcast(
-    active: list[int],
-    num_players: int,
-    view_lower: list[int],
-    view_upper: list[int],
-    target: dict,
-):
-    """Hand simulation of the SIC leader's one-round binary broadcast.
-
-    ``target`` holds the leader's ``rejected``/``accepted`` sets, its
-    ``least`` arm (or None) and its ``lower``/``upper`` lists. The message
-    is one news bit per active arm (flagged, or a bound differs from the
+def _message_bits(active, width, view_lower, view_upper, target):
+    """One news bit per active arm (flagged, or a bound differs from the
     view), then for each news arm its reject/accept/least bits followed by
-    lower - 1 and upper - 1 in ceil(log2 M) bits each, most significant
-    first. In every slot the follower listens alone on the read arm and the
-    leader joins it for a 1 bit. Returns the leader's bits, the flags the
-    follower hears, and the follower's state decoded from those flags.
-    """
-    width = max(1, math.ceil(math.log2(num_players)))
+    lower - 1 and upper - 1 in ``width`` bits each, most significant first.
+    ``target`` holds ``rejected``/``accepted`` sets, a ``least`` arm (or
+    None) and ``lower``/``upper`` lists."""
 
     def flags(arm):
         return [
@@ -221,14 +158,11 @@ def simulate_binary_broadcast(
         bits += flags(a)
         for value in (target["lower"][a] - 1, target["upper"][a] - 1):
             bits += [(value >> (width - 1 - i)) & 1 for i in range(width)]
+    return bits
 
-    read_arm, elsewhere = 0, 1
-    heard = []
-    for b in bits:
-        leader_arm = read_arm if b else elsewhere
-        count = 1 + (1 if leader_arm == read_arm else 0)
-        heard.append(1 if count > 1 else 0)
 
+def _read_message(heard, active, width, view_lower, view_upper):
+    """Decode heard bits laid out as in ``_message_bits``."""
     state = {
         "rejected": set(),
         "accepted": set(),
@@ -254,4 +188,67 @@ def simulate_binary_broadcast(
                 value = 2 * value + heard[pos + i]
             pos += width
             state[key][a] = value + 1
+    return state
+
+
+def simulate_binary_broadcast(
+    active: list[int],
+    num_players: int,
+    view_lower: list[int],
+    view_upper: list[int],
+    target: dict,
+):
+    """Hand simulation of the SIC leader's one-round binary broadcast.
+
+    ``target`` is as in ``_message_bits``; bounds use ceil(log2 M) bits. In
+    every slot the follower listens alone on the read arm and the leader
+    joins it for a 1 bit. Returns the leader's bits, the flags the follower
+    hears, and the follower's state decoded from those flags.
+    """
+    width = max(1, math.ceil(math.log2(num_players)))
+    bits = _message_bits(active, width, view_lower, view_upper, target)
+
+    read_arm, elsewhere = 0, 1
+    heard = []
+    for b in bits:
+        leader_arm = read_arm if b else elsewhere
+        count = 1 + (1 if leader_arm == read_arm else 0)
+        heard.append(1 if count > 1 else 0)
+    state = _read_message(heard, active, width, view_lower, view_upper)
     return bits, heard, state
+
+
+def simulate_dpe_broadcast(num_arms: int, num_players: int, view: dict, target: dict):
+    """Hand simulation of the DPE leader's one-round binary broadcast.
+
+    ``view``/``target`` are dicts with keys ``optimal`` (set), ``least``
+    (int or None) and ``lower``/``upper`` (lists). The message runs over
+    every arm: removals are rejects, additions are accepts, and the least
+    bit marks the target's least-favored arm only when it moved. All
+    followers listen on arm 0; the leader sits on arm 0 for a 1 bit and on
+    arm 1 for a 0 bit, and a follower hears a 1 when arm 0 counts
+    ``num_players``. Returns the leader's arm per slot and the state a
+    follower holds afterwards.
+    """
+    width = max(1, math.ceil(math.log2(num_players)))
+    arms = list(range(num_arms))
+    decision = {
+        "rejected": set(view["optimal"]) - set(target["optimal"]),
+        "accepted": set(target["optimal"]) - set(view["optimal"]),
+        "least": target["least"] if target["least"] != view["least"] else None,
+        "lower": target["lower"],
+        "upper": target["upper"],
+    }
+    bits = _message_bits(arms, width, view["lower"], view["upper"], decision)
+    leader_arms = [0 if b else 1 for b in bits]
+    heard = [
+        1 if (num_players - 1) + (a == 0) == num_players else 0 for a in leader_arms
+    ]
+    got = _read_message(heard, arms, width, view["lower"], view["upper"])
+    state = {
+        "optimal": (set(view["optimal"]) - got["rejected"]) | got["accepted"],
+        "least": view["least"] if got["least"] is None else got["least"],
+        "lower": got["lower"],
+        "upper": got["upper"],
+    }
+    return leader_arms, state

@@ -18,21 +18,25 @@ from shareable_bandits.dpe import DpeSdiPolicy, SharedInfo
 from shareable_bandits.engine import Observation, PublicEnvInfo, run, step
 from shareable_bandits.harness import run_one
 from shareable_bandits.model import EnvSpec, Feedback, oracle
-from shareable_bandits.sic import (
+from shareable_bandits.protocol import (
     LeaderDecision,
-    SicSdaPolicy,
     bound_bits,
     broadcast_message,
     decode_bits,
     encode_stat,
     read_broadcast,
-    upload_bits,
 )
+from shareable_bandits.sic import SicSdaPolicy, upload_bits
 from shareable_bandits.scenarios import preset_scenarios
 from shareable_bandits.stats import capacity_interval, confidence_radius, klucb_index
 
-from oracles import brute_force_optimal, klucb_grid, simulate_binary_broadcast
-from test_dpe import mutate, random_shared_info, transfer_through_counts
+from oracles import (
+    brute_force_optimal,
+    klucb_grid,
+    simulate_binary_broadcast,
+    simulate_dpe_broadcast,
+)
+from test_dpe import as_dict, mutate, random_shared_info, transfer_through_counts
 
 JOBS = 2
 
@@ -259,7 +263,8 @@ def test_criterion_4_protocol_losslessness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(104)
 
-    # (a) leader-to-follower state transfer, six-step schedule
+    # (a) DPE leader-to-follower state transfer: one binary round, through
+    # the policies' code and an independent hand simulation of the channel
     dpe_fail = 0
     for _ in range(1000):
         num_arms = int(rng.integers(3, 10))
@@ -268,12 +273,14 @@ def test_criterion_4_protocol_losslessness():
         new = view
         for _ in range(int(rng.integers(1, 4))):
             new = mutate(rng, new, num_arms, num_players)
-        state = view
-        for _ in range(num_players + 2):
-            if state == new:
-                break
-            state = transfer_through_counts(new, state, num_players, num_arms)
-        dpe_fail += state != new
+        arms, views = transfer_through_counts(new, view, num_players, num_arms)
+        ref_arms, ref_state = simulate_dpe_broadcast(
+            num_arms, num_players, as_dict(view), as_dict(new)
+        )
+        dpe_fail += not (
+            arms == ref_arms
+            and all(v == new and as_dict(v) == ref_state for v in views)
+        )
 
     # (b) follower-to-leader bit upload, through the engine (SDA feedback)
     spec = EnvSpec(3, 2, (0.5, 0.5, 0.5), (1, 1, 1), 10, feedback=Feedback.SDA)

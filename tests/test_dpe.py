@@ -6,19 +6,22 @@ import pytest
 
 from shareable_bandits.dpe import (
     DpeSdiPolicy,
-    ProtocolCorruptionError,
     SharedInfo,
     UnsupportedFeedbackError,
-    comm_apply,
-    comm_send_arms,
     recover_profile,
     rotation_arm,
 )
 from shareable_bandits.engine import Observation, PublicEnvInfo, run
 from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for, oracle
-from shareable_bandits.stats import update_capacity_bounds
+from shareable_bandits.protocol import (
+    LeaderDecision,
+    ProtocolCorruptionError,
+    bound_bits,
+    broadcast_message,
+)
+from shareable_bandits.stats import CapacityBounds, PlayerStats, update_capacity_bounds
 
-from oracles import simulate_leader_broadcast
+from oracles import simulate_dpe_broadcast
 
 
 def make_spec(**kw):
@@ -145,18 +148,46 @@ def mutate(rng, info, num_arms, num_players):
     return new
 
 
+def broadcast_players(view, num_players, num_arms):
+    """Leader (rank 0) and followers sharing ``view``, ready to broadcast."""
+    players = []
+    for rank in range(num_players):
+        env = PublicEnvInfo(num_arms, 1000, Feedback.SDI, np.random.default_rng(rank))
+        p = DpeSdiPolicy(rank, env)
+        p.num_players, p.rank, p._leader = num_players, rank, rank == 0
+        p._nbits = bound_bits(num_players)
+        p.view = view.copy()
+        players.append(p)
+    return players
+
+
 def transfer_through_counts(new, view, num_players, num_arms):
-    """Drive the broadcast schedule and apply signals exactly as followers
-    observing sharing counts would: count == M iff the leader joins."""
-    result = view.copy()
-    arms = comm_send_arms(new, view, park_arm=0, num_players=num_players,
-                          num_arms=num_arms)[num_players:]
-    for idx, leader_arm in enumerate(arms):
-        step, k = divmod(idx, num_arms)
-        count = (num_players - 1) + (1 if leader_arm == k else 0)
-        if count == num_players:
-            comm_apply(result, step, k)
-    return result
+    """One broadcast round through the policies' own code.
+
+    The leader sends ``new`` against the shared ``view``; every follower
+    decodes it from the sharing count on its own arm. Returns the leader's
+    arm per slot and each player's view afterwards.
+    """
+    players = broadcast_players(view, num_players, num_arms)
+    players[0]._candidate = new.copy()
+    for p in players:
+        p._begin_broadcast()
+    leader_arms = []
+    t = 0
+    while players[0]._mode == "comm-broadcast":
+        arms = [p.next_action(t) for p in players]
+        leader_arms.append(arms[0])
+        for p, a in zip(players, arms):
+            c = arms.count(a)
+            p.observe(Observation(a, 0.0, c, c > 1))
+        t += 1
+    assert {p._mode for p in players} == {"explore-round"}
+    return leader_arms, [p.view for p in players]
+
+
+def as_dict(info):
+    return {"optimal": info.optimal_set, "least": info.least_favored,
+            "lower": info.cap_lower, "upper": info.cap_upper}
 
 
 class TestRoundPlan:
@@ -182,19 +213,17 @@ class TestBroadcastProtocol:
         view = SharedInfo({0, 1}, 0, [2, 1, 1, 1], [3, 3, 3, 3])
         new = view.copy()
         new.least_favored = 1
-        arms = comm_send_arms(new, view, park_arm=0, num_players=3, num_arms=4)
-        signals = [
-            (idx // 4, idx % 4)
-            for idx, a in enumerate(arms[3:])
-            if a == idx % 4
-        ]
-        assert signals == [(2, 1)]
+        arms, views = transfer_through_counts(new, view, num_players=3, num_arms=4)
+        # news mask, arm 1's reject/accept/least flags, lower - 1, upper - 1
+        bits = [0, 1, 0, 0] + [0, 0, 1] + [0, 0] + [1, 0]
+        assert arms == [0 if b else 1 for b in bits]
+        assert all(v == new for v in views)
 
-    def test_lower_bound_jump_sends_one_unit(self):
-        view = SharedInfo({0, 1}, 1, [2, 1, 1], [3, 3, 3])
-        new = SharedInfo({0, 1}, 1, [3, 1, 1], [3, 3, 3])
-        got = transfer_through_counts(new, view, num_players=3, num_arms=3)
-        assert got.cap_lower == [3, 1, 1]
+    def test_bound_jump_arrives_in_one_round(self):
+        view = SharedInfo({0, 1}, 1, [1, 1, 1, 1, 1, 1], [5, 5, 5, 5, 5, 5])
+        new = SharedInfo({0, 1}, 1, [4, 1, 1, 1, 1, 1], [4, 5, 5, 5, 5, 2])
+        _, views = transfer_through_counts(new, view, num_players=5, num_arms=6)
+        assert all(v == new for v in views)
 
     def test_round_transfer_matches_hand_simulation(self):
         rng = np.random.default_rng(17)
@@ -203,22 +232,15 @@ class TestBroadcastProtocol:
             num_players = int(rng.integers(2, min(num_arms, 6) + 1))
             view = random_shared_info(rng, num_arms, num_players)
             new = mutate(rng, view, num_arms, num_players)
-            got = transfer_through_counts(new, view, num_players, num_arms)
-            ref_state, _ = simulate_leader_broadcast(
-                num_arms,
-                num_players,
-                {"optimal": view.optimal_set, "least": view.least_favored,
-                 "lower": view.cap_lower, "upper": view.cap_upper},
-                {"optimal": new.optimal_set, "least": new.least_favored,
-                 "lower": new.cap_lower, "upper": new.cap_upper},
+            arms, views = transfer_through_counts(new, view, num_players, num_arms)
+            ref_arms, ref_state = simulate_dpe_broadcast(
+                num_arms, num_players, as_dict(view), as_dict(new)
             )
-            assert got.optimal_set == ref_state["optimal"]
-            assert got.least_favored == ref_state["least"]
-            assert got.cap_lower == ref_state["lower"]
-            assert got.cap_upper == ref_state["upper"]
+            assert arms == ref_arms
+            for got in views:
+                assert as_dict(got) == ref_state
 
-    def test_repeated_rounds_converge_exactly(self):
-        """Bounds may jump by more than one unit; rounds repeat until equal."""
+    def test_every_change_arrives_in_one_round(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             num_arms = int(rng.integers(3, 10))
@@ -227,17 +249,65 @@ class TestBroadcastProtocol:
             new = view
             for _ in range(int(rng.integers(1, 4))):
                 new = mutate(rng, new, num_arms, num_players)
-            state = view
-            for _ in range(num_players + 2):  # worst-case unit jumps
-                if state == new:
-                    break
-                state = transfer_through_counts(new, state, num_players, num_arms)
-            assert state == new
+            _, views = transfer_through_counts(new, view, num_players, num_arms)
+            assert all(v == new for v in views)
 
-    def test_removal_of_absent_arm_is_corruption(self):
-        info = SharedInfo({0}, 0, [1, 1], [2, 2])
+    @pytest.mark.parametrize(
+        "decision", [LeaderDecision(rejected={1}), LeaderDecision(accepted={0})],
+        ids=["remove-absent-arm", "add-present-arm"],
+    )
+    def test_impossible_set_change_is_corruption(self, decision):
+        view = SharedInfo({0}, 0, [1, 1, 1], [2, 2, 2])
+        follower = broadcast_players(view, num_players=2, num_arms=3)[1]
+        follower._message = broadcast_message(
+            decision, range(3), view.cap_lower, view.cap_upper,
+            view.cap_lower, view.cap_upper, follower._nbits,
+        )
         with pytest.raises(ProtocolCorruptionError):
-            comm_apply(info, 0, 1)
+            follower._finish_broadcast()
+
+
+class TestSingleArmView:
+    """A view with all M players on arm P: parking on P adds nobody."""
+
+    VIEW = SharedInfo({2}, 2, [1, 1, 3, 1], [3, 3, 3, 3])  # M = 3, K = 4
+
+    def start_round(self, leader_seed=0):
+        players = broadcast_players(self.VIEW, num_players=3, num_arms=4)
+        leader = players[0]
+        leader.rng = np.random.default_rng(leader_seed)
+        leader.stats = PlayerStats(4)
+        for k in range(4):
+            leader.stats.add_individual(k, 0.5)
+        leader.bounds = CapacityBounds(4, 3)
+        for p in players:
+            p._begin_round()
+        return players
+
+    def play(self, players, t):
+        arms = [p.next_action(t) for p in players]
+        for p, a in zip(players, arms):
+            c = arms.count(a)
+            p.observe(Observation(a, 0.0, c, c > 1))
+        return arms
+
+    def test_followers_detect_a_pending_broadcast(self):
+        players = self.start_round()
+        leader = players[0]
+        leader._candidate = SharedInfo({0, 2}, 2, [1, 1, 2, 1], [3, 3, 3, 3])
+        leader._pending = True
+        leader._begin_round()
+        for t in range(3):
+            self.play(players, t)
+        assert [p._mode for p in players] == ["comm-broadcast"] * 3
+
+    def test_leader_does_not_probe_at_slot_zero(self):
+        for seed in range(20):
+            players = self.start_round(leader_seed=seed)
+            players[0]._explore_set = [0, 1, 3]
+            arms = self.play(players, 0)
+            assert arms == [2, 2, 2]
+            assert not any(p._detected for p in players)
 
 
 class TestEndToEnd:
@@ -284,6 +354,36 @@ class TestEndToEnd:
                 if p._mode == "explore-round" and p._round_slot == 0
             ]
             if len(views) == len(policies) and len(set(views)) > 1:
+                desync.append(t)
+
+        run(DpeSdiPolicy, spec, probe=probe)
+        assert desync == []
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnvSpec(7, 2, (0.62, 0.53, 0.36, 0.0, 0.39, 0.43, 0.41),
+                    (1, 2, 1, 2, 1, 2, 1), 2795, feedback="sdi", seed=47),
+            EnvSpec(7, 2, (0.58, 0.93, 0.15, 0.95, 0.46, 0.16, 0.78),
+                    (2, 2, 2, 2, 1, 1, 1), 2991, feedback="sdi", seed=54),
+            EnvSpec(8, 2, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+                    (2, 1, 2, 2, 2, 2, 2, 1), 1205, feedback="sdi", seed=63),
+        ],
+        ids=["seed-47", "seed-54", "seed-63"],
+    )
+    def test_views_agree_from_single_arm_views(self, spec):
+        """Runs whose views put every player on one arm stay in sync."""
+        desync = []
+
+        def probe(t, policies, counts):
+            if any(p._mode != "explore-round" or p._round_slot for p in policies):
+                return
+            views = {
+                (frozenset(p.view.optimal_set), p.view.least_favored,
+                 tuple(p.view.cap_lower), tuple(p.view.cap_upper))
+                for p in policies
+            }
+            if len(views) > 1:
                 desync.append(t)
 
         run(DpeSdiPolicy, spec, probe=probe)

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from shareable_bandits.dpe import ProtocolCorruptionError
 from shareable_bandits.engine import PublicEnvInfo, run
 from shareable_bandits.model import EnvSpec, Feedback
-from shareable_bandits.sic import (
+from shareable_bandits.protocol import (
     LeaderDecision,
+    ProtocolCorruptionError,
+    decode_bits,
+    encode_stat,
+)
+from shareable_bandits.sic import (
     SicSdaPolicy,
     anchored_arm,
     apply_decision,
-    decode_bits,
-    encode_stat,
     evaluate_accept_reject,
     rank_assign_arm,
     upload_bits,

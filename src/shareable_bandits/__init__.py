@@ -20,7 +20,6 @@ from .model import (
     InfeasibleAssignmentError,
     OptimalProfile,
     expected_reward,
-    expected_reward_for,
     optimal_profile_for,
     oracle,
     per_slot_regret,
@@ -56,7 +55,6 @@ __all__ = [
     "UnsupportedFeedbackError",
     "emit_outputs",
     "expected_reward",
-    "expected_reward_for",
     "load_scenario",
     "optimal_profile_for",
     "oracle",

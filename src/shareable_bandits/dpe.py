@@ -1,7 +1,8 @@
 """Leader/follower policy for count (SDI) feedback.
 
-One player becomes the leader after a rally-and-orthogonalize start. The
-leader alone gathers statistics, maintains the empirical optimal assignment,
+One player becomes the leader after a rally and an orthogonalization over
+M arms (``protocol.Orthogonalization``, shared with SIC-SDA). The leader
+alone gathers statistics, maintains the empirical optimal assignment,
 and occasionally probes weaker arms; followers replay the assignment via a
 rotation rule, following the DPE line of work (Wang, Proutière et al.,
 AISTATS 2020). Whenever the leader's published state changes it parks on a
@@ -26,13 +27,20 @@ from .engine import Observation, PublicEnvInfo
 from .model import Feedback, oracle
 from .protocol import (
     LeaderDecision,
+    Orthogonalization,
     ProtocolCorruptionError,
     bound_bits,
     broadcast_message,
     news_bits,
     read_broadcast,
 )
-from .stats import CapacityBounds, PlayerStats, klucb_at_least, update_capacity_bounds
+from .stats import (
+    CapacityBounds,
+    PlayerStats,
+    klucb_at_least,
+    klucb_budget,
+    update_capacity_bounds,
+)
 
 
 class UnsupportedFeedbackError(ValueError):
@@ -136,11 +144,7 @@ class DpeSdiPolicy:
         self.rank: int | None = None
         self._leader = False  # rank == 0, fixed with the rank
 
-        # Orthogonalization bookkeeping.
-        self._ortho_slot = 0
-        self._saw_sharing = False
-        self._claim_arm = 0
-
+        self._ortho: Orthogonalization | None = None
         self._warm_slot = 0
 
         # Shared (follower-synchronized) state; populated by the bootstrap.
@@ -287,11 +291,12 @@ class DpeSdiPolicy:
         else:
             profile_changed = False
         counts, least = self._opt
+        budget = klucb_budget(self._t + 1)
         self._explore_set = [
             k
             for k in range(self.num_arms)
             if counts[k] == 0
-            and klucb_at_least(mu[k], stats.ie_count[k], self._t + 1, mu[least])
+            and klucb_at_least(mu[k], stats.ie_count[k], budget, mu[least])
         ]
         cand = self._candidate
         if (
@@ -349,17 +354,7 @@ class DpeSdiPolicy:
         if mode == _RALLY:
             return 0
         if mode == _ORTHO:
-            s = self._ortho_slot
-            if s == 0:
-                if self.rank is None:
-                    self._claim_arm = int(self.rng.integers(self.num_players))
-                    return self._claim_arm
-                return self.rank
-            if self.rank is None:
-                return self.num_players  # spare arm while unranked
-            if s == self.rank + 1:
-                return self.num_players
-            return self.rank
+            return self._ortho.next_arm()
         if mode == _WARMUP:
             return (self._warm_slot + self.rank) % self.num_arms
         if mode == _PARK:
@@ -375,7 +370,8 @@ class DpeSdiPolicy:
         elif mode == _RALLY:
             self._observe_rally(obs)
         elif mode == _ORTHO:
-            self._observe_ortho(obs)
+            if self._ortho.observe(obs.shared):
+                self._start_warmup()
         elif mode == _WARMUP:
             self._observe_warmup(obs)
         else:  # _PARK
@@ -430,35 +426,15 @@ class DpeSdiPolicy:
     def _observe_rally(self, obs: Observation) -> None:
         self.num_players = obs.count
         self._mode = _ORTHO
-        self._ortho_slot = 0
-        self._saw_sharing = False
+        self._ortho = Orthogonalization(self.num_players, self.rng)
         if self.num_players >= self.num_arms:
             raise ProtocolCorruptionError(
                 "rally counted as many players as arms; model requires M < K"
             )
 
-    def _observe_ortho(self, obs: Observation) -> None:
-        s = self._ortho_slot
-        if s == 0:
-            if self.rank is None and obs.count == 1:
-                self.rank = self._claim_arm
-                self._leader = self.rank == 0
-        else:
-            if obs.shared:
-                self._saw_sharing = True
-        self._ortho_slot = s + 1
-        if self._ortho_slot == self.num_players + 1:
-            if not self._saw_sharing:
-                if self.rank is None:
-                    raise ProtocolCorruptionError(
-                        "orthogonalization ended while a player is unranked"
-                    )
-                self._start_warmup()
-            else:
-                self._ortho_slot = 0
-                self._saw_sharing = False
-
     def _start_warmup(self) -> None:
+        self.rank = self._ortho.claim
+        self._leader = self.rank == 0
         self._mode = _WARMUP
         self._warm_slot = 0
         self.view = SharedInfo(

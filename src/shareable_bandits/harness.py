@@ -17,18 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import engine
-from .baselines import HighestRewardPolicy, IdlestArmPolicy
-from .dpe import DpeSdiPolicy
-from .scenarios import Scenario
-from .sic import SicSdaPolicy
-
-POLICY_CLASSES = {
-    "dpe-sdi": DpeSdiPolicy,
-    "sic-sda": SicSdaPolicy,
-    "sic-sdi": SicSdaPolicy,  # same state machine, driven by SDI counts
-    "highest-reward": HighestRewardPolicy,
-    "idlest-arm": IdlestArmPolicy,
-}
+from .scenarios import ALGORITHMS, Scenario
 
 TAIL_WINDOW = 10_000  # slots inspected for the optimal-play share
 
@@ -57,8 +46,8 @@ class AggregateResult:
 
 
 def policy_factory(algorithm: str, delta: float | None):
-    cls = POLICY_CLASSES[algorithm]
-    if delta is None or algorithm in ("highest-reward", "idlest-arm"):
+    cls, feedback = ALGORITHMS[algorithm]
+    if delta is None or feedback is None:  # the heuristics take no delta
         return cls
     return functools.partial(cls, delta=delta)
 

@@ -7,7 +7,8 @@ descending-mean order up to each arm's resource capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -23,6 +24,11 @@ class InfeasibleAssignmentError(ValueError):
     """Total arm capacity cannot absorb the requested number of players."""
 
 
+def is_integral(value) -> bool:
+    """True for Python and numpy integers; False for bools and floats."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Immutable description of one simulated environment."""
@@ -36,6 +42,12 @@ class EnvSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_arms", "num_players", "horizon"):
+            value = getattr(self, name)
+            if not is_integral(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not all(is_integral(c) for c in self.capacities):
+            raise ValueError(f"capacities must be integers, got {self.capacities}")
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
         object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
         object.__setattr__(self, "feedback", Feedback(self.feedback))
@@ -71,10 +83,6 @@ class AssignmentProfile:
         if any(c < 0 for c in self.counts):
             raise ValueError("assignment counts must be non-negative")
 
-    @property
-    def num_players(self) -> int:
-        return sum(self.counts)
-
 
 @dataclass(frozen=True)
 class OptimalProfile:
@@ -85,28 +93,15 @@ class OptimalProfile:
     value: float
 
 
-def _counts_of(profile: AssignmentProfile | Sequence[int]) -> Sequence[int]:
-    return profile.counts if isinstance(profile, AssignmentProfile) else profile
-
-
 def expected_reward(
-    profile: AssignmentProfile | Sequence[int],
-    means: Sequence[float],
-    capacities: Sequence[int],
+    counts: Sequence[int], means: Sequence[float], capacities: Sequence[int]
 ) -> float:
-    """Expected one-slot reward of a profile: sum of min(a_k, m_k) * mu_k."""
-    counts = _counts_of(profile)
+    """Expected one-slot reward of per-arm counts: sum of min(a_k, m_k) * mu_k."""
     if len(counts) != len(means) or len(means) != len(capacities):
-        raise ValueError("profile, means and capacities must have equal length")
+        raise ValueError("counts, means and capacities must have equal length")
     return sum(
         (a if a <= m else m) * mu for a, mu, m in zip(counts, means, capacities)
     )
-
-
-def expected_reward_for(
-    profile: AssignmentProfile | Sequence[int], spec: EnvSpec
-) -> float:
-    return expected_reward(profile, spec.means, spec.capacities)
 
 
 def oracle(
@@ -138,18 +133,18 @@ def oracle(
         remaining -= take
         least = k
     profile = AssignmentProfile(tuple(counts))
-    value = expected_reward(profile, means, capacities)
+    value = expected_reward(counts, means, capacities)
     return OptimalProfile(profile=profile, least_favored=least, value=value)
 
 
 def per_slot_regret(
-    profile: AssignmentProfile | Sequence[int],
+    counts: Sequence[int],
     opt: OptimalProfile,
     means: Sequence[float],
     capacities: Sequence[int],
 ) -> float:
     """Expected one-slot gap to the optimum; tiny negatives are float noise."""
-    gap = opt.value - expected_reward(profile, means, capacities)
+    gap = opt.value - expected_reward(counts, means, capacities)
     if gap < 0.0:
         if gap < -1e-12:
             raise ValueError(f"profile beats the supposed optimum by {-gap}")

@@ -1,10 +1,13 @@
-"""Leader-to-follower broadcast codec shared by DPE-SDI and SIC-SDA.
+"""Coordination shared by DPE-SDI and SIC-SDA: orthogonalization and broadcast.
 
-The leader sends its accept/reject/least-favored decision and the capacity
-bounds that moved as one binary message: a news mask with one bit per arm,
-then, for each arm with news, three flag bits and its lower and upper bound
-minus one in ``bound_bits(M)`` bits each. Each policy supplies its own
-channel (which arm is read and what counts as a 1).
+``Orthogonalization`` is the musical-chairs start both policies run before
+their main loop, so every player ends up holding a distinct claim.
+
+The broadcast codec sends the leader's accept/reject/least-favored decision
+and the capacity bounds that moved as one binary message: a news mask with
+one bit per arm, then, for each arm with news, three flag bits and its lower
+and upper bound minus one in ``bound_bits(M)`` bits each. Each policy
+supplies its own channel (which arm is read and what counts as a 1).
 """
 
 from __future__ import annotations
@@ -14,6 +17,57 @@ from dataclasses import dataclass, field
 
 class ProtocolCorruptionError(RuntimeError):
     """Players' synchronized state diverged; signals a desync bug."""
+
+
+class Orthogonalization:
+    """Musical chairs over claims 0..n-1, with arm n as the spare.
+
+    A round lasts n + 1 slots. At slot 0 an unclaimed player draws a claim
+    uniformly and keeps it if it was alone on the arm; in slot s >= 1 the
+    holder of claim s - 1 hops to the spare. Unclaimed players wait on the
+    spare, where they meet each other or a hopping holder, so a round with
+    no sharing after slot 0 ends the procedure for every player at once.
+    """
+
+    def __init__(self, num_claims: int, rng) -> None:
+        self.num_claims = num_claims
+        self.rng = rng
+        self.claim: int | None = None
+        self._slot = 0
+        self._draw = 0
+        self._saw_sharing = False
+
+    def next_arm(self) -> int:
+        s = self._slot
+        if s == 0:
+            if self.claim is None:
+                self._draw = int(self.rng.integers(self.num_claims))
+                return self._draw
+            return self.claim
+        if self.claim is None or s == self.claim + 1:
+            return self.num_claims
+        return self.claim
+
+    def observe(self, shared: bool) -> bool:
+        """Record one slot's sharing flag; True once the procedure has ended."""
+        s = self._slot
+        if s == 0:
+            if self.claim is None and not shared:
+                self.claim = self._draw
+        elif shared:
+            self._saw_sharing = True
+        self._slot = s + 1
+        if self._slot <= self.num_claims:
+            return False
+        if self._saw_sharing:
+            self._slot = 0
+            self._saw_sharing = False
+            return False
+        if self.claim is None:
+            raise ProtocolCorruptionError(
+                "orthogonalization ended while a player is unclaimed"
+            )
+        return True
 
 
 NUM_FLAG_STEPS = 3  # reject / accept / least-favored bits per arm with news

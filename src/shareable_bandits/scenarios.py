@@ -15,18 +15,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import EnvSpec, Feedback
+from .baselines import HighestRewardPolicy, IdlestArmPolicy
+from .dpe import DpeSdiPolicy
+from .model import EnvSpec, Feedback, is_integral
+from .sic import SicSdaPolicy
 
-# Feedback a given algorithm needs, overriding the scenario default.
-ALGORITHM_FEEDBACK: dict[str, Feedback | None] = {
-    "dpe-sdi": Feedback.SDI,
-    "sic-sda": Feedback.SDA,
-    "sic-sdi": Feedback.SDI,
-    "highest-reward": None,
-    "idlest-arm": None,
+# Each algorithm's policy class and the feedback it forces on the environment.
+# The learning policies force one and take ``delta``; the heuristics (None)
+# run under the scenario's feedback and take no ``delta``.
+ALGORITHMS: dict[str, tuple[type, Feedback | None]] = {
+    "dpe-sdi": (DpeSdiPolicy, Feedback.SDI),
+    "sic-sda": (SicSdaPolicy, Feedback.SDA),
+    "sic-sdi": (SicSdaPolicy, Feedback.SDI),  # same state machine, SDI counts
+    "highest-reward": (HighestRewardPolicy, None),
+    "idlest-arm": (IdlestArmPolicy, None),
 }
-
-ALGORITHMS = tuple(ALGORITHM_FEEDBACK)
 
 
 class ScenarioError(ValueError):
@@ -71,12 +74,24 @@ class Scenario:
             not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in self.seeds
         ):
             raise ScenarioError(f"seeds must be non-negative integers, got {self.seeds}")
+        for name in ("seeds", "algorithms"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ScenarioError(
+                    f"{name} must be distinct and non-empty, got {values}"
+                )
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ScenarioError(f"unknown algorithms: {sorted(unknown)}")
         cps = list(self.checkpoints)
-        if cps != sorted(set(cps)) or any(not 1 <= c <= self.horizon for c in cps):
-            raise ScenarioError("checkpoints must be strictly increasing and <= horizon")
+        if (
+            any(not is_integral(c) for c in cps)
+            or cps != sorted(set(cps))
+            or any(not 1 <= c <= self.horizon for c in cps)
+        ):
+            raise ScenarioError(
+                "checkpoints must be strictly increasing integers <= horizon"
+            )
 
     def means_for_seed(self, seed: int) -> list[float]:
         """Per-seed arm means; the permutation is a pure function of the seed."""
@@ -89,7 +104,7 @@ class Scenario:
         return [self.means[i] for i in order]
 
     def env_spec(self, algorithm: str, seed: int) -> EnvSpec:
-        feedback = ALGORITHM_FEEDBACK.get(algorithm) or Feedback(self.feedback)
+        feedback = ALGORITHMS[algorithm][1] or Feedback(self.feedback)
         return EnvSpec(
             num_arms=self.num_arms,
             num_players=self.num_players,
@@ -101,7 +116,7 @@ class Scenario:
         )
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(asdict(self), indent=2, default=int)  # numpy integers
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":

@@ -1,6 +1,7 @@
 """Phase-based elimination policy for 1-bit (SDA) feedback.
 
-Players orthogonalize onto K-1 arms, then a fixed 2K-2-slot sweep turns
+Players orthogonalize onto K-1 arms (``protocol.Orthogonalization``,
+shared with DPE-SDI), then a fixed 2K-2-slot sweep turns
 arm claims into dense ranks and reveals the player count. Afterwards the
 active players loop through doubling exploration phases and two scheduled
 communication blocks, following SIC-MMAB (Boursier & Perchet, NeurIPS
@@ -38,6 +39,7 @@ from __future__ import annotations
 from .engine import Observation, PublicEnvInfo
 from .protocol import (
     LeaderDecision,
+    Orthogonalization,
     ProtocolCorruptionError,
     bound_bits,
     broadcast_message,
@@ -233,11 +235,7 @@ class SicSdaPolicy:
         self.rank: int | None = None  # 1-based dense rank, 1 = leader
         self.exploit_arm: int | None = None
 
-        # Orthogonalization over K-1 arms; rounds of K slots.
-        self._ortho_slot = 0
-        self._saw_sharing = False
-        self._claim = 0  # 0-based arm this player tries to hold
-        self._claimed = False
+        self._ortho = Orthogonalization(self.num_arms - 1, self.rng)
         self._rank_slot = 0
         self._rank_flags = 0
         self._total_flags = 0
@@ -449,19 +447,11 @@ class SicSdaPolicy:
                 return comm_seat(listener, self.active, self.lower)
             return self._seat
         if mode == _ORTHO:
-            s = self._ortho_slot
-            spare = self.num_arms - 1
-            if s == 0:
-                if not self._claimed:
-                    self._claim = int(self.rng.integers(self.num_arms - 1))
-                return self._claim
-            if not self._claimed:
-                return spare
-            if s == self._claim + 1:
-                return spare
-            return self._claim
+            return self._ortho.next_arm()
         if mode == _RANK:
-            return rank_assign_arm(self._claim + 1, self._rank_slot + 1, self.num_arms)
+            return rank_assign_arm(
+                self._ortho.claim + 1, self._rank_slot + 1, self.num_arms
+            )
         raise RuntimeError(f"unknown mode {mode!r}")
 
     def observe(self, obs: Observation) -> None:
@@ -477,7 +467,8 @@ class SicSdaPolicy:
         elif mode == _FORTH:
             self._observe_broadcast(obs)
         elif mode == _ORTHO:
-            self._observe_ortho(obs)
+            if self._ortho.observe(obs.shared):
+                self._mode = _RANK
         else:
             self._observe_rank(obs)
 
@@ -542,34 +533,11 @@ class SicSdaPolicy:
                 self.upper[arm] = upper
         self._finish_comm()
 
-    def _observe_ortho(self, obs: Observation) -> None:
-        s = self._ortho_slot
-        if s == 0:
-            if not self._claimed and not obs.shared:
-                self._claimed = True  # alone on the arm: claim holds
-        else:
-            if obs.shared:
-                self._saw_sharing = True
-        self._ortho_slot = s + 1
-        if self._ortho_slot == self.num_arms:
-            if not self._saw_sharing:
-                if not self._claimed:
-                    raise ProtocolCorruptionError(
-                        "orthogonalization ended while a player is unclaimed"
-                    )
-                self._mode = _RANK
-                self._rank_slot = 0
-                self._rank_flags = 0
-                self._total_flags = 0
-            else:
-                self._ortho_slot = 0
-                self._saw_sharing = False
-
     def _observe_rank(self, obs: Observation) -> None:
         slot = self._rank_slot + 1  # 1-based sweep slot just played
         if obs.shared:
             self._total_flags += 1
-            if slot <= 2 * (self._claim + 1):
+            if slot <= 2 * (self._ortho.claim + 1):
                 self._rank_flags += 1
         self._rank_slot += 1
         if self._rank_slot == 2 * self.num_arms - 2:

@@ -64,8 +64,8 @@ def klucb_index(mu_hat: float, pulls: int, t: int) -> float:
     return lo
 
 
-def klucb_at_least(mu_hat: float, pulls: int, t: int, threshold: float) -> bool:
-    """Whether klucb_index(mu_hat, pulls, t) >= threshold, without bisection.
+def klucb_at_least(mu_hat: float, pulls: int, budget: float, threshold: float) -> bool:
+    """Whether klucb_index(mu_hat, pulls, t) >= threshold, given klucb_budget(t).
 
     kl(mu_hat, q) is increasing in q on [mu_hat, 1), so the index clears the
     threshold iff the divergence at the threshold still fits the budget.
@@ -73,7 +73,7 @@ def klucb_at_least(mu_hat: float, pulls: int, t: int, threshold: float) -> bool:
     if mu_hat >= threshold:
         return True
     q = min(threshold, 1.0 - _Q_EPS)
-    return pulls * bern_kl(mu_hat, q) <= klucb_budget(t)
+    return pulls * bern_kl(mu_hat, q) <= budget
 
 
 def confidence_radius(x: int, delta: float) -> float:
@@ -124,7 +124,7 @@ def means_separated(
     3 * sqrt(ln(T) / (2 * pulls)), which needs about 3.3e5 pulls there.
     """
     lower_k = 1.0 - klucb_index(1.0 - mu_k, pulls_k, horizon)
-    return not klucb_at_least(mu_j, pulls_j, horizon, lower_k)
+    return not klucb_at_least(mu_j, pulls_j, klucb_budget(horizon), lower_k)
 
 
 @dataclass

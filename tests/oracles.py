@@ -6,7 +6,6 @@ no code with the library under test (arithmetic duplicated on purpose).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 

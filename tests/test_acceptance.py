@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from shareable_bandits.baselines import HighestRewardPolicy, IdlestArmPolicy
-from shareable_bandits.dpe import DpeSdiPolicy, SharedInfo
+from shareable_bandits.dpe import DpeSdiPolicy
 from shareable_bandits.engine import Observation, PublicEnvInfo, run, step
 from shareable_bandits.harness import run_one
 from shareable_bandits.model import EnvSpec, Feedback, oracle

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from shareable_bandits.baselines import (
     FixedArmPolicy,

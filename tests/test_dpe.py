@@ -12,7 +12,7 @@ from shareable_bandits.dpe import (
     rotation_arm,
 )
 from shareable_bandits.engine import Observation, PublicEnvInfo, run
-from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for, oracle
+from shareable_bandits.model import EnvSpec, Feedback, oracle
 from shareable_bandits.protocol import (
     LeaderDecision,
     ProtocolCorruptionError,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shareable_bandits.engine import PublicEnvInfo, run
+from shareable_bandits.engine import run
 from shareable_bandits.model import EnvSpec, Feedback
 from shareable_bandits.protocol import (
     LeaderDecision,

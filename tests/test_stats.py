@@ -70,7 +70,7 @@ class TestKlucbIndex:
             t = int(rng.integers(3, 10**5))
             threshold = float(rng.random())
             expect = klucb_index(mu, pulls, t) >= threshold
-            fast = klucb_at_least(mu, pulls, t, threshold)
+            fast = klucb_at_least(mu, pulls, klucb_budget(t), threshold)
             if abs(klucb_index(mu, pulls, t) - threshold) > 1e-6:
                 assert fast == expect
 

@@ -203,11 +203,13 @@ class DpeSdiPolicy:
             self._plan_round()
         if self._leader and self._pending:
             self.phase = "comm"
-            self._park_arm = max(
-                self.view.optimal_set, key=lambda k: (self.stats.mu_hat(k), -k)
-            )
+            self._park_on_best(self.view.optimal_set)
         else:
             self.phase = "explore"
+
+    def _park_on_best(self, arms) -> None:
+        """Leader: park on the best empirical mean in ``arms``, lower index on ties."""
+        self._park_arm = max(arms, key=lambda k: (self.stats.mu_hat(k), -k))
 
     def _begin_broadcast(self) -> None:
         self._mode = _BROADCAST
@@ -460,9 +462,7 @@ class DpeSdiPolicy:
                 return
             if self._leader:
                 self._leader_update()
-                self._park_arm = max(
-                    range(self.num_arms), key=lambda k: (self.stats.mu_hat(k), -k)
-                )
+                self._park_on_best(range(self.num_arms))
             self._mode = _PARK
             self._comm_slot = 0
             self.phase = "comm"

@@ -48,6 +48,10 @@ class EnvSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not all(is_integral(c) for c in self.capacities):
             raise ValueError(f"capacities must be integers, got {self.capacities}")
+        if not all(
+            isinstance(m, numbers.Real) and not isinstance(m, bool) for m in self.means
+        ):
+            raise ValueError(f"means must be real numbers, got {self.means}")
         object.__setattr__(self, "means", tuple(float(m) for m in self.means))
         object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
         object.__setattr__(self, "feedback", Feedback(self.feedback))

@@ -116,7 +116,10 @@ class Scenario:
         )
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=int)  # numpy integers
+        # Numbers json cannot write itself: numpy scalars, fractions.
+        return json.dumps(
+            asdict(self), indent=2, default=lambda v: int(v) if is_integral(v) else float(v)
+        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":

@@ -5,13 +5,24 @@ shared with DPE-SDI), then a fixed 2K-2-slot sweep turns
 arm claims into dense ranks and reveals the player count. Afterwards the
 active players loop through doubling exploration phases and two scheduled
 communication blocks, following SIC-MMAB (Boursier & Perchet, NeurIPS
-2019): followers upload their per-arm reward sums to the leader one bit per
-slot (joining the leader's arm means 1), then the leader sends every
-follower, in turn, one binary message with the accept/reject/least-favored
-flags and the new capacity bounds (the follower listens on the leader's
-arm, which the leader keeps for a 1 and leaves for a 0). Accepted arms
-absorb exactly their capacity in players; everyone else keeps exploring
-until the last needed arm is certified.
+2019): followers upload their per-arm reward sums to the leader, then the
+leader sends every follower one binary message with the
+accept/reject/least-favored flags and the new capacity bounds. Accepted
+arms absorb exactly their capacity in players; everyone else keeps
+exploring until the last needed arm is certified.
+
+Both blocks move bits over one channel. A block is a run of stages; a stage
+is a list of (speaker rank, listener rank) pairs that take turns on the
+read arm ``active[0]``, each moving the same number of bits from the
+speaker's outbox into the listener's inbox. The listener sits on the read
+arm and the speaker joins it for a 1 bit (the listener reads the shared
+flag). For a 0 bit the speaker keeps its seat, except the leader, whose
+seat is the read arm: it takes the listener's seat. The upload is one
+stage, (r, 1) for every rotating follower r, of one cell per active arm;
+the broadcast is a news-mask stage, (1, r) for every follower r, then a
+payload stage sized by the mask. A stage with no pairs ends at once, so a
+lone active player spends no slot communicating. At the end of a broadcast
+every player, the leader included, decodes the same bits.
 
 Extensions beyond SIC-MMAB, all but the last aimed at the cost of
 communication:
@@ -43,6 +54,7 @@ from .protocol import (
     ProtocolCorruptionError,
     bound_bits,
     broadcast_message,
+    decode_bits,
     encode_stat,
     news_bits,
     read_broadcast,
@@ -254,101 +266,105 @@ class SicSdaPolicy:
         self._seat = 0  # arm held while idle during communication
         self._phase_sums: list[int] = [0] * self.num_arms
 
-        self._senders: list[int] = []
-        self._nbits = 0
-        self._send_bits: list[int] = []
-        self._recv_acc = 0
-        self._received: list[list[int]] = []
-
+        # Communication: stages of (speaker rank, listener rank) pairs.
+        self._pairs: list[tuple[int, int]] = []
+        self._stage_len = 0  # bits each pair moves in the current stage
+        self._stage_start = 0  # outbox position where the stage begins
+        self._outbox: list[int] = []
+        self._inbox: list[int] = []
         self._seen = LeaderDecision()
         self._bound_nbits = 0
-        self._stage_len = 0  # message bits per listener in the current stage
-        self._stage_start = 0  # message position where the stage begins
-        self._inbox: list[int] = []
-        self._message: list[int] = []  # leader only
 
         # Leader-only state.
         self.stats: PlayerStats | None = None
         self.bounds: CapacityBounds | None = None
-        self.decision: LeaderDecision | None = None
 
     @property
     def is_leader(self) -> bool:
         return self.rank == 1
-
-    # -- phase-length helpers (computable by every player) ------------------
-
-    def _num_rotating(self) -> int:
-        return min(self.active_players, len(self.active))
 
     def _begin_explore(self) -> None:
         self._mode = _IE
         self.phase = "explore"
         self._slot = 0
         self._phase_sums = [0] * self.num_arms
-        k_t = len(self.active)
-        if self.rank > k_t:
+        self._anchor = None
+        if self.rank > len(self.active):
             self._anchor = anchored_arm(self.rank, self.active, self.lower)
-        else:
-            self._anchor = None
         self._seat = comm_seat(self.rank, self.active, self.lower)
         self._ue_arms = [k for k in self.active if self.lower[k] != self.upper[k]]
 
+    # -- communication: speaker -> listener stages on the read arm -----------
+
     def _begin_upload(self) -> None:
-        self._senders = list(range(2, self._num_rotating() + 1))
-        if not self._senders:
-            if self.is_leader:
-                self._leader_merge()
-            self._phase_sums = [0] * self.num_arms
-            self._begin_broadcast()
-            return
-        self._mode = _BACK
-        self.phase = "comm"
-        self._slot = 0
-        self._nbits = upload_bits(self.phase_num, max(self.alloc.values()))
-        self._recv_acc = 0
-        self._received = [[0] * len(self.active) for _ in self._senders]
+        # Each rotating follower sends the leader one cell per active arm.
+        k_t = len(self.active)
+        nbits = upload_bits(self.phase_num, max(self.alloc.values()))
+        sums = self._phase_sums
+        self._outbox = [b for k in self.active for b in encode_stat(sums[k], nbits)]
+        self._inbox = []
+        pairs = [(r, 1) for r in range(2, min(self.active_players, k_t) + 1)]
+        self._begin_stage(_BACK, pairs, k_t * nbits)
 
     def _begin_broadcast(self) -> None:
-        if self.is_leader:
-            self._run_accept_reject()
-        if self.active_players == 1:
-            # No follower to inform; the leader adopts its decision directly.
-            self._sync_bounds_directly()
-            self._finish_comm()
-            return
-        self._mode = _FORTH
-        self.phase = "comm"
-        self._slot = 0
-        self._stage_len = len(self.active)  # the news mask goes first
-        self._stage_start = 0
+        # The leader sends every follower the news mask, then the payload.
+        self._outbox = self._run_accept_reject() if self.is_leader else []
         self._inbox = []
-        if self.is_leader:
-            self._message = broadcast_message(
-                self.decision,
-                self.active,
-                self.lower,
-                self.upper,
-                self.bounds.lower,
-                self.bounds.upper,
-                self._bound_nbits,
-            )
+        pairs = [(1, r) for r in range(2, self.active_players + 1)]
+        self._begin_stage(_FORTH, pairs, len(self.active))
+
+    def _begin_stage(
+        self, mode: str, pairs: list[tuple[int, int]], stage_len: int, start: int = 0
+    ) -> None:
+        """Each pair in turn moves ``stage_len`` bits, from the speaker's
+        outbox at ``start`` into the listener's inbox."""
+        self._mode = mode
+        self.phase = "comm"
+        self._pairs = pairs
+        self._stage_len = stage_len
+        self._stage_start = start
+        self._slot = 0
+        if not pairs:
+            self._end_stage()  # one active player: nobody to talk to
+
+    def _end_stage(self) -> None:
+        if self._mode == _BACK:
+            if self.is_leader:
+                self._leader_merge()
+            self._begin_broadcast()
+            return
+        k_t = len(self.active)
+        message = self._outbox if self.is_leader else self._inbox
+        if self._stage_start == 0:
+            # Every follower now holds the news mask, which sizes the rest.
+            news = sum(message[:k_t])
+            if news:
+                payload_len = news * news_bits(self._bound_nbits)
+                self._begin_stage(_FORTH, self._pairs, payload_len, k_t)
+                return
+        self._seen, bounds = read_broadcast(message, self.active, self._bound_nbits)
+        for arm, (lower, upper) in bounds.items():
+            self.lower[arm] = lower
+            self.upper[arm] = upper
+        self._finish_comm()
 
     # -- leader statistics --------------------------------------------------
 
     def _leader_merge(self) -> None:
         """Fold own and uploaded per-phase sums into the leader statistics."""
         stats = self.stats
-        share = 1 << self.phase_num
+        k_t = len(self.active)
+        nbits = self._stage_len // k_t
+        inbox = self._inbox
+        cells = [decode_bits(inbox[i : i + nbits]) for i in range(0, len(inbox), nbits)]
+        share = (1 << self.phase_num) * (1 + len(self._pairs))
         for idx, arm in enumerate(self.active):
-            total = self._phase_sums[arm]
-            for row in self._received:
-                total += row[idx]
+            total = self._phase_sums[arm] + sum(cells[idx::k_t])
             stats.ie_sum[arm] += total / self.alloc.get(arm, 1)
-            stats.ie_count[arm] += share * (1 + len(self._received))
-        self._received = []
+            stats.ie_count[arm] += share
 
-    def _run_accept_reject(self) -> None:
+    def _run_accept_reject(self) -> list[int]:
+        """Decide on the active arms; return the message that announces it."""
         stats, bounds = self.stats, self.bounds
         for k in self._ue_arms:
             if stats.ue_count[k] > 0:
@@ -363,7 +379,7 @@ class SicSdaPolicy:
         mu = {k: stats.mu_hat(k) for k in self.active}
         pulls = {k: stats.ie_count[k] for k in self.active}
         learned = {k for k in self.active if bounds.learned(k)}
-        self.decision = evaluate_accept_reject(
+        decision = evaluate_accept_reject(
             mu,
             pulls,
             self.active,
@@ -373,31 +389,31 @@ class SicSdaPolicy:
             learned,
             self.horizon,
         )
-
-    def _sync_bounds_directly(self) -> None:
-        self.lower = list(self.bounds.lower)
-        self.upper = list(self.bounds.upper)
-        self._seen = self.decision
+        return broadcast_message(
+            decision,
+            self.active,
+            self.lower,
+            self.upper,
+            bounds.lower,
+            bounds.upper,
+            self._bound_nbits,
+        )
 
     # -- shared post-communication update ------------------------------------
 
     def _finish_comm(self) -> None:
-        decision = self._seen
         exploit, new_active, players_left, alloc = apply_decision(
-            self.rank, decision, self.active, self.active_players, self.lower
+            self.rank, self._seen, self.active, self.active_players, self.lower
         )
         self.active = new_active
         self.active_players = players_left
         self.phase_num += 1
-        if exploit is not None:
-            self.exploit_arm = exploit
-            self._mode = _EXPLOIT
-            self.phase = "exploit"
-            return
-        if len(self.active) == 1:
+        if exploit is None and len(self.active) == 1:
             # Bit signalling needs two arms; with one arm left all active
             # players sit on it for good, which is already optimal play.
-            self.exploit_arm = self.active[0]
+            exploit = self.active[0]
+        if exploit is not None:
+            self.exploit_arm = exploit
             self._mode = _EXPLOIT
             self.phase = "exploit"
             return
@@ -421,30 +437,16 @@ class SicSdaPolicy:
             if self.rank <= self.upper[arm]:
                 return arm
             return self._seat
-        if mode == _BACK:
-            # The leader reads its own arm; a sender joins it for a 1 bit.
-            if self.is_leader:
-                return self.active[0]
-            cell, bit = divmod(self._slot, self._nbits)
-            sender_idx, k_idx = divmod(cell, len(self.active))
-            if self.rank == self._senders[sender_idx]:
-                if bit == 0:
-                    value = self._phase_sums[self.active[k_idx]]
-                    self._send_bits = encode_stat(value, self._nbits)
-                if self._send_bits[bit]:
-                    return self.active[0]
-            return self._seat
-        if mode == _FORTH:
-            # The listener takes the leader's arm; the leader stays for a 1
-            # bit and swaps onto the listener's seat for a 0 bit.
-            listener_idx, bit = divmod(self._slot, self._stage_len)
-            listener = listener_idx + 2
+        if mode == _BACK or mode == _FORTH:
+            pair, bit = divmod(self._slot, self._stage_len)
+            speaker, listener = self._pairs[pair]
             if self.rank == listener:
                 return self.active[0]
-            if self.is_leader:
-                if self._message[self._stage_start + bit]:
+            if self.rank == speaker:
+                if self._outbox[self._stage_start + bit]:
                     return self.active[0]
-                return comm_seat(listener, self.active, self.lower)
+                if self.is_leader:
+                    return comm_seat(listener, self.active, self.lower)
             return self._seat
         if mode == _ORTHO:
             return self._ortho.next_arm()
@@ -462,10 +464,8 @@ class SicSdaPolicy:
             self._observe_ie(obs)
         elif mode == _UE:
             self._observe_ue(obs)
-        elif mode == _BACK:
-            self._observe_upload(obs)
-        elif mode == _FORTH:
-            self._observe_broadcast(obs)
+        elif mode == _BACK or mode == _FORTH:
+            self._observe_comm(obs)
         elif mode == _ORTHO:
             if self._ortho.observe(obs.shared):
                 self._mode = _RANK
@@ -492,46 +492,12 @@ class SicSdaPolicy:
         if self._slot == len(self._ue_arms) << self.phase_num:
             self._begin_upload()
 
-    def _observe_upload(self, obs: Observation) -> None:
-        cell, bit = divmod(self._slot, self._nbits)
-        sender_idx, k_idx = divmod(cell, len(self.active))
-        if self.is_leader:
-            self._recv_acc = (self._recv_acc << 1) | (1 if obs.shared else 0)
-            if bit == self._nbits - 1:
-                self._received[sender_idx][k_idx] = self._recv_acc
-                self._recv_acc = 0
-        self._slot += 1
-        if self._slot == len(self._senders) * len(self.active) * self._nbits:
-            if self.is_leader:
-                self._leader_merge()
-            self._phase_sums = [0] * self.num_arms
-            self._begin_broadcast()
-
-    def _observe_broadcast(self, obs: Observation) -> None:
-        if self.rank == self._slot // self._stage_len + 2:
+    def _observe_comm(self, obs: Observation) -> None:
+        if self.rank == self._pairs[self._slot // self._stage_len][1]:
             self._inbox.append(1 if obs.shared else 0)
         self._slot += 1
-        if self._slot < (self.active_players - 1) * self._stage_len:
-            return
-        if self._stage_start == 0:
-            # Every follower now holds the news mask, which sizes the rest.
-            mask = self._message if self.is_leader else self._inbox
-            news = sum(mask[: len(self.active)])
-            if news:
-                self._stage_start = len(self.active)
-                self._stage_len = news * news_bits(self._bound_nbits)
-                self._slot = 0
-                return
-        if self.is_leader:
-            self._sync_bounds_directly()
-        else:
-            self._seen, bounds = read_broadcast(
-                self._inbox, self.active, self._bound_nbits
-            )
-            for arm, (lower, upper) in bounds.items():
-                self.lower[arm] = lower
-                self.upper[arm] = upper
-        self._finish_comm()
+        if self._slot == len(self._pairs) * self._stage_len:
+            self._end_stage()
 
     def _observe_rank(self, obs: Observation) -> None:
         slot = self._rank_slot + 1  # 1-based sweep slot just played

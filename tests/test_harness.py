@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,12 +100,15 @@ class TestScenarioValidation:
             (dict(seeds=[True]), "seeds"),
             (dict(algorithms=[]), "algorithms"),
             (dict(algorithms=["dpe-sdi", "dpe-sdi"]), "algorithms"),
+            (dict(means=["0.9", 0.6, 0.3, 0.1]), "means"),
+            (dict(means=[0.9, 0.6, 0.3, True]), "means"),
         ],
         ids=["infeasible-capacity", "zero-horizon", "negative-horizon", "delta-two",
              "delta-zero", "negative-seed", "fractional-seed", "fractional-capacity",
              "bool-capacity", "fractional-horizon", "float-arms", "fractional-players",
              "bool-players", "fractional-checkpoint", "no-seeds", "repeated-seed",
-             "bool-seed", "no-algorithms", "repeated-algorithm"],
+             "bool-seed", "no-algorithms", "repeated-algorithm", "string-mean",
+             "bool-mean"],
     )
     def test_invalid_input_rejected(self, changes, match):
         with pytest.raises(ScenarioError, match=match):
@@ -117,6 +121,12 @@ class TestScenarioValidation:
             horizon=np.int64(400),
             checkpoints=[np.int64(100), 400],
         )
+        path = tmp_path / "scenario.json"
+        path.write_text(sc.to_json())
+        assert Scenario.from_file(path) == sc
+
+    def test_real_means_accepted(self, tmp_path):
+        sc = tiny_scenario(means=[np.float32(0.75), Fraction(1, 2), 0.25, np.int64(0)])
         path = tmp_path / "scenario.json"
         path.write_text(sc.to_json())
         assert Scenario.from_file(path) == sc
@@ -235,13 +245,18 @@ class TestCli:
             ({}, ["run", "--seeds", "0"]),
             ({}, ["run", "--seeds", "1,1"]),
             ({}, ["run", "--algo", "dpe-sdi,dpe-sdi"]),
+            ({"means": ["0.9", 0.6, 0.3, 0.1]}, ["validate"]),
+            ({"means": [0.9, 0.6, 0.3, True]}, ["validate"]),
+            ({"means": ["0.9", 0.6, 0.3, 0.1]}, ["run"]),
+            ({"means": [0.9, 0.6, 0.3, True]}, ["run"]),
         ],
         ids=["short-capacities", "zero-horizon", "delta-two", "negative-seed",
              "fractional-capacity", "fractional-horizon", "fractional-checkpoint",
              "repeated-seed", "run-zero-horizon", "run-delta-two",
              "run-fractional-capacity", "run-fractional-horizon",
              "run-fractional-checkpoint", "run-no-seeds", "run-repeated-seed",
-             "run-repeated-algorithm"],
+             "run-repeated-algorithm", "string-mean", "bool-mean", "run-string-mean",
+             "run-bool-mean"],
     )
     def test_validate_bad_file(self, tmp_path, capsys, changes, command):
         data = json.loads(tiny_scenario().to_json())

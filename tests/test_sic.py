@@ -252,6 +252,42 @@ class TestEndToEnd:
         first_phase_share = 2 * rotating
         assert max(leader.stats.ie_count) >= first_phase_share
 
+    def test_upload_is_lossless(self):
+        """Each upload adds to the leader's statistics exactly what the
+        rotating players summed: per arm, their total over the allocation,
+        and 2^p pulls per rotating player."""
+        spec = make_spec(
+            num_players=4, capacities=(2, 2, 1, 1, 1), horizon=20000,
+            means=(0.9, 0.8, 0.6, 0.5, 0.2),
+        )
+        pending = []
+        checked = []
+
+        def probe(t, policies, counts):
+            leader = next((p for p in policies if p.rank == 1), None)
+            if leader is None or leader.exploit_arm is not None:
+                return
+            if leader._mode == "comm-upload" and not pending:
+                rotating = [p for p in policies
+                            if p.exploit_arm is None
+                            and p.rank <= min(len(p.active), p.active_players)]
+                expected = {}
+                for k in leader.active:
+                    total = sum(p._phase_sums[k] for p in rotating)
+                    expected[k] = (
+                        leader.stats.ie_sum[k] + total / leader.alloc.get(k, 1),
+                        leader.stats.ie_count[k] + (len(rotating) << leader.phase_num),
+                    )
+                pending.append(expected)
+            elif leader._mode != "comm-upload" and pending:
+                for k, (ie_sum, ie_count) in pending.pop().items():
+                    assert (leader.stats.ie_sum[k], leader.stats.ie_count[k]) == (
+                        ie_sum, ie_count), (t, k)
+                checked.append(t)
+
+        run(SicSdaPolicy, spec, probe=probe)
+        assert len(checked) >= 3
+
     def test_adapter_identical_traces_under_both_feedbacks(self):
         spec_sda = make_spec(horizon=6000)
         spec_sdi = make_spec(horizon=6000, feedback=Feedback.SDI)
@@ -267,6 +303,15 @@ class TestEndToEnd:
         )
         trace = run(SicSdaPolicy, spec)
         assert trace.optimal_fraction(500) > 0.9
+
+    def test_one_player_takes_no_communication_slot(self):
+        spec = make_spec(
+            num_players=1, capacities=(1, 1, 1, 1, 1), horizon=4000,
+            means=(0.9, 0.4, 0.3, 0.2, 0.1),
+        )
+        trace, (policy,) = grab_final_policies(spec)
+        assert policy.phase_num >= 3  # several blocks were run
+        assert "comm" not in {phase for _, phase in trace.phase_events}
 
     def test_broadcast_keeps_bounds_synchronized(self):
         spec = make_spec(horizon=15000)
@@ -291,7 +336,7 @@ class TestEndToEnd:
 
 
 class TestCommunicationSeats:
-    """Who sits where while the leader and a follower exchange bits."""
+    """Who sits where while a speaker sends bits to a listener."""
 
     def test_read_arm_holds_only_the_signalling_pair(self):
         # Arms 0 and 1 take 3 players each, so once the weak arms go the
@@ -304,9 +349,10 @@ class TestCommunicationSeats:
 
         class Recorded(SicSdaPolicy):
             def next_action(self, t):
-                mode, slot = self._mode, self._slot
-                stage = self._nbits if mode == "comm-upload" else self._stage_len
-                context = (mode, slot, stage, list(self._senders), len(self.active),
+                pair = None
+                if self._mode in ("comm-upload", "comm-broadcast"):
+                    pair = self._pairs[self._slot // self._stage_len]
+                context = (self._mode, pair, self.active[0], len(self.active),
                            self.active_players)
                 displaced = self._anchor is not None and self._anchor == self.active[0]
                 arm = super().next_action(t)
@@ -323,19 +369,16 @@ class TestCommunicationSeats:
             context = next((c for _, _, c, _ in players if c is not None), None)
             if context is None or context[0] not in checked:
                 continue
-            mode, slot, stage, senders, k_t, m_t = context
-            if mode == "comm-upload":
-                partner = senders[slot // stage // k_t]
-                read_arm = next(a for r, a, _, _ in players if r == 1)
-            else:
-                partner = slot // stage + 2
-                read_arm = next(a for r, a, _, _ in players if r == partner)
+            mode, (speaker, listener), read_arm, k_t, m_t = context
+            # Followers upload to the leader; the leader broadcasts.
+            assert (listener if mode == "comm-upload" else speaker) == 1
+            assert next(a for r, a, _, _ in players if r == listener) == read_arm
             on_read_arm = {r for r, a, _, _ in players if a == read_arm}
-            assert on_read_arm <= {1, partner}, (t, mode, on_read_arm)
+            assert on_read_arm <= {speaker, listener}, (t, mode, on_read_arm)
             # Idle rotating players keep distinct exploration arms.
             rotating = min(k_t, m_t)
             idle = [a for r, a, _, _ in players
-                    if r not in (1, partner) and r <= rotating]
+                    if r not in (speaker, listener) and r <= rotating]
             assert len(idle) == len(set(idle)), (t, mode, idle)
             checked[mode] += 1
             displaced_slots += any(d for _, _, _, d in players)

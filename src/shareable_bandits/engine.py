@@ -5,6 +5,19 @@ per-load reward per arm (shared by all players on that arm), and hands each
 player only its own observation. Players never see anything else: the
 observation carries the arm's total reward plus either the sharing count
 (SDI) or a 1-bit shared flag (SDA).
+
+Two things keep ``run`` cheap without changing a single output value:
+
+- **Slot plans.** Everything about a slot except the arm draws depends only
+  on the action profile: each player's arm, capped factor min(a_k, m_k),
+  count and shared flag, the slot's regret gap and whether it is optimal.
+  ``run`` builds this plan once per distinct action tuple and keeps it in a
+  per-run dict; a slot is then one lookup plus the draws.
+- **Fast-forward.** A policy may expose ``exploit_arm``, which once set
+  never changes. When every player has set it, the profile is fixed for the
+  rest of the run, so the engine draws no arms and calls no policy: it only
+  adds the committed profile's gap slot by slot, fills the checkpoints and
+  the optimality mask, and keeps calling ``probe``.
 """
 
 from __future__ import annotations
@@ -22,6 +35,9 @@ from .model import (
 )
 
 _CHUNK = 8192  # slots of pre-drawn arm randomness held at a time
+# Slot plans kept per run; the memo starts over past this, so a policy whose
+# action tuples rarely repeat cannot grow it without bound.
+_MAX_PLANS = 4096
 
 
 class InvalidActionError(RuntimeError):
@@ -59,13 +75,29 @@ class PublicEnvInfo:
 
 
 class Policy(Protocol):
+    """One player. The engine calls ``next_action`` then ``observe`` each slot.
+
+    A policy may also have an ``exploit_arm`` attribute, an int or None,
+    read with ``getattr`` before each slot. An int means the player is
+    committed for good: it plays that arm every remaining slot, and the
+    attribute never changes again. Once every player is committed the engine
+    stops calling them. A player that must keep observing leaves it unset.
+    """
+
     def next_action(self, t: int) -> int: ...
 
     def observe(self, obs: Observation) -> None: ...
 
 
 PolicyFactory = Callable[[int, PublicEnvInfo], Policy]
+# Called after every slot with the slot, the players and the players per
+# arm. ``counts`` is read-only: the engine may pass the same dict object in
+# many slots, including every slot after all players have committed.
 Probe = Callable[[int, Sequence[Policy], dict[int, int]], None]
+
+# One player's part of a slot plan: its arm, its capped factor
+# min(a_k, m_k) as a float, its count (None under SDA) and its shared flag.
+_Entry = tuple[int, float, int | None, bool]
 
 
 @dataclass
@@ -85,17 +117,18 @@ class RunTrace:
         return float(window.mean()) if len(window) else 0.0
 
 
-def _slot(
+def _plan(
     actions: Sequence[int],
-    row: bytes,
     caps: Sequence[int],
     sdi: bool,
-) -> tuple[dict[int, int], list[Observation]]:
-    """Apply the reward rule to one slot: min(a_k, m_k) * X_k per arm.
+    entries: dict[tuple[int, int], _Entry],
+) -> tuple[dict[int, int], tuple[_Entry, ...]]:
+    """Apply the reward rule min(a_k, m_k) * X_k to one action profile.
 
-    ``row`` holds one byte per arm, X_k: 1 when the arm's uniform fell below
-    its mean. Returns the players per arm and each player's own
-    observation, in action order.
+    Returns the players per arm, in first-appearance order, and each
+    player's entry in action order; a player's reward is its factor when its
+    arm's X_k is 1 and 0.0 otherwise. ``entries`` interns entries by
+    (arm, count), so plans that share them share the tuples.
     """
     num_arms = len(caps)
     counts: dict[int, int] = {}
@@ -106,13 +139,15 @@ def _slot(
             counts[a] = 1
         else:
             raise InvalidActionError(f"arm index {a} out of range [0, {num_arms})")
-    out = []
+    players = []
     for a in actions:
         c = counts[a]
-        x = 1.0 if row[a] else 0.0
-        reward = (c if c <= caps[a] else caps[a]) * x
-        out.append(Observation(a, reward, c if sdi else None, c > 1))
-    return counts, out
+        entry = entries.get((a, c))
+        if entry is None:
+            factor = float(c if c <= caps[a] else caps[a])
+            entry = entries[a, c] = (a, factor, c if sdi else None, c > 1)
+        players.append(entry)
+    return counts, tuple(players)
 
 
 def step(
@@ -129,7 +164,11 @@ def step(
         )
     row = (rng.random(spec.num_arms) < np.asarray(spec.means)).tobytes()
     sdi = spec.feedback is Feedback.SDI
-    return _slot(actions, row, spec.capacities, sdi)[1]
+    players = _plan(actions, spec.capacities, sdi, {})[1]
+    return [
+        Observation(a, factor if row[a] else 0.0, c, shared)
+        for a, factor, c, shared in players
+    ]
 
 
 def run(
@@ -178,11 +217,38 @@ def run(
     phase_events: list[tuple[int, str]] = []
     last_phase: str | None = None
 
+    # action tuple -> (player entries, gap, optimal, counts)
+    plans: dict[tuple[int, ...], tuple] = {}
+    entries: dict[tuple[int, int], _Entry] = {}
+
+    def plan_for(arms: list[int], t: int) -> tuple:
+        try:
+            counts, players = _plan(arms, caps, sdi, entries)
+        except InvalidActionError as exc:
+            i = next(i for i, a in enumerate(arms) if not 0 <= a < K)
+            phase = getattr(policies[i], "phase", None)
+            raise InvalidActionError(
+                f"{exc} at slot {t}, player {i} in phase {phase!r}"
+            ) from None
+        f_t = 0.0
+        for a, c in counts.items():
+            f_t += (c if c <= caps[a] else caps[a]) * means[a]
+        if len(plans) == _MAX_PLANS:
+            plans.clear()
+        plan = plans[tuple(arms)] = (players, fstar - f_t, counts == opt_items, counts)
+        return plan
+
     regret = 0.0
     means_array = np.asarray(means)
     draws = b""  # X_k bytes of the chunk's slots, K per slot
     offset = 0
-    for t in range(T):
+    first = 0  # players before this index are committed for good
+    t = 0
+    while t < T:
+        while first < M and getattr(policies[first], "exploit_arm", None) is not None:
+            first += 1
+        if first == M:
+            break
         if offset == len(draws):
             offset = 0
             draws = (env_rng.random((min(_CHUNK, T - t), K)) < means_array).tobytes()
@@ -190,20 +256,13 @@ def run(
         offset += K
 
         arms = [p.next_action(t) for p in policies]
-        try:
-            counts, observations = _slot(arms, row, caps, sdi)
-        except InvalidActionError as exc:
-            raise InvalidActionError(f"{exc} at slot {t}") from None
-
-        f_t = 0.0
-        for a, c in counts.items():
-            f_t += (c if c <= caps[a] else caps[a]) * means[a]
-        regret += fstar - f_t
-        if counts == opt_items:
+        players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms, t)
+        regret += gap
+        if optimal:
             optimal_mask[t] = True
 
-        for p, obs in zip(policies, observations):
-            p.observe(obs)
+        for p, (a, factor, c, shared) in zip(policies, players):
+            p.observe(Observation(a, factor if row[a] else 0.0, c, shared))
 
         phase = getattr(policies[0], "phase", None)
         if phase is not None and phase != last_phase:
@@ -215,6 +274,21 @@ def run(
 
         if probe is not None:
             probe(t, policies, counts)
+        t += 1
+
+    if t < T:
+        # The profile is fixed from slot t on. It comes from the committed
+        # arms, not from slot t - 1: a player that committed in that slot's
+        # observe may have played another arm in it. Regret is still added
+        # per slot, since a product (T - t) * gap rounds differently.
+        _, gap, optimal, counts = plan_for([p.exploit_arm for p in policies], t)
+        optimal_mask[t:] = optimal
+        for t in range(t, T):
+            regret += gap
+            if t + 1 in cp_set:
+                cp_regret.append(regret)
+            if probe is not None:
+                probe(t, policies, counts)
 
     return RunTrace(
         horizon=T,

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BruteForceResult:
@@ -251,3 +253,67 @@ def simulate_dpe_broadcast(num_arms: int, num_players: int, view: dict, target: 
         "upper": got["upper"],
     }
     return leader_arms, state
+
+
+@dataclass
+class SlotView:
+    """One player's view of one slot in ``naive_run``."""
+
+    arm: int
+    reward: float
+    count: int | None
+    shared: bool
+
+
+def naive_run(make_policy, make_env, spec, sdi, best_value, best_counts, checkpoints):
+    """Step every slot of a run the plain way: no plan memo, no fast-forward.
+
+    ``spec`` is read for num_arms, num_players, means, capacities, horizon
+    and seed, with the same ``SeedSequence(seed).spawn(M + 1)`` streams as a
+    real run: the first draws the arms, one uniform per arm per slot, and
+    player i's public info is ``make_env(rng of stream i + 1)``.
+    ``best_value`` and ``best_counts`` (players per arm) give the optimum.
+    Returns the fields of a run trace as a dict.
+    """
+    K, M, T = spec.num_arms, spec.num_players, spec.horizon
+    means, caps = list(spec.means), list(spec.capacities)
+    streams = np.random.SeedSequence(spec.seed).spawn(M + 1)
+    env_rng = np.random.Generator(np.random.PCG64(streams[0]))
+    players = [
+        make_policy(i, make_env(np.random.Generator(np.random.PCG64(streams[i + 1]))))
+        for i in range(M)
+    ]
+    best = {k: c for k, c in enumerate(best_counts) if c > 0}
+    cps = sorted(set(checkpoints))
+    regret = 0.0
+    cp_regret, mask, phases = [], [], []
+    last_phase = None
+    for t in range(T):
+        arms = [p.next_action(t) for p in players]
+        load = {}
+        for a in arms:
+            load[a] = load.get(a, 0) + 1
+        hit = env_rng.random(K) < np.asarray(means)
+        for p, a in zip(players, arms):
+            c = load[a]
+            reward = min(c, caps[a]) * (1.0 if hit[a] else 0.0)
+            p.observe(SlotView(a, reward, c if sdi else None, c > 1))
+        value = 0.0
+        for a, c in load.items():
+            value += min(c, caps[a]) * means[a]
+        regret += best_value - value
+        mask.append(load == best)
+        phase = getattr(players[0], "phase", None)
+        if phase is not None and phase != last_phase:
+            phases.append((t, str(phase)))
+            last_phase = phase
+        if t + 1 in cps:
+            cp_regret.append(regret)
+    return {
+        "horizon": T,
+        "checkpoints": tuple(cps),
+        "checkpoint_regret": tuple(cp_regret),
+        "final_regret": regret,
+        "optimal_mask": np.array(mask, dtype=bool),
+        "phase_events": tuple(phases),
+    }

@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import naive_run
 
+from shareable_bandits import engine
 from shareable_bandits.baselines import FixedArmPolicy, fixed_profile_factory
 from shareable_bandits.engine import (
     InvalidActionError,
@@ -12,6 +14,7 @@ from shareable_bandits.engine import (
     step,
 )
 from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for
+from shareable_bandits.scenarios import ALGORITHMS
 
 
 def make_spec(**kw):
@@ -180,13 +183,181 @@ class TestRun:
 
     def test_aborts_on_out_of_range_policy(self):
         spec = make_spec(horizon=10)
-        with pytest.raises(InvalidActionError):
-            run(lambda i, env: FixedArmPolicy(i, env, 7), spec)
+        with pytest.raises(
+            InvalidActionError,
+            match=r"arm index 7 out of range \[0, 4\) at slot 0, player 2 in phase 'exploit'",
+        ):
+            run(lambda i, env: FixedArmPolicy(i, env, 7 if i == 2 else 0), spec)
 
     def test_phase_events_recorded(self):
         spec = make_spec(horizon=10)
         trace = run(fixed_profile_factory([2, 1, 0, 0]), spec)
         assert trace.phase_events[0][1] == "exploit"
+
+
+class CommittingPolicy:
+    """Plays ``arm`` until ``commit_at``; that slot's observe commits it to ``target``.
+
+    ``calls`` collects (player, method, slot) for every engine call.
+    """
+
+    def __init__(self, player_id, arm, commit_at, target, calls):
+        self.player_id = player_id
+        self.arm = arm
+        self.commit_at = commit_at
+        self.target = target
+        self.calls = calls
+        self.phase = "explore"
+        self.exploit_arm = None
+        self._t = -1
+
+    def next_action(self, t):
+        self._t = t
+        self.calls.append((self.player_id, "next_action", t))
+        return self.arm if self.exploit_arm is None else self.exploit_arm
+
+    def observe(self, obs):
+        self.calls.append((self.player_id, "observe", self._t))
+        if self._t == self.commit_at:
+            self.exploit_arm = self.target
+            self.phase = "exploit"
+
+
+class TestFastForward:
+    """Once every player has set ``exploit_arm``, no policy is called."""
+
+    # Optimum {0: 2, 1: 1}, worth 2.6. Everyone starts on arm 3; players
+    # commit out of order, and in its commit slot each still plays arm 3.
+    COMMIT_AT = (9, 5, 12)
+    TARGETS = (0, 0, 1)
+
+    def simulate(self, commit_at, horizon=50):
+        spec = make_spec(horizon=horizon)
+        calls, probed = [], []
+
+        def factory(i, env):
+            return CommittingPolicy(i, 3, commit_at[i], self.TARGETS[i], calls)
+
+        def probe(t, policies, counts):
+            probed.append((t, dict(counts)))
+
+        trace = run(factory, spec, checkpoints=[5, 13, 30, horizon], probe=probe)
+        return trace, calls, probed
+
+    def test_no_policy_call_after_every_player_commits(self):
+        trace, calls, _ = self.simulate(self.COMMIT_AT)
+        assert max(t for _, _, t in calls) == 12
+        for i in range(3):
+            for method in ("next_action", "observe"):
+                slots = [t for p, m, t in calls if p == i and m == method]
+                assert slots == list(range(13))
+
+    def test_probe_sees_every_slot_with_the_committed_counts(self):
+        _, _, probed = self.simulate(self.COMMIT_AT)
+        assert [t for t, _ in probed] == list(range(50))
+        assert probed[12][1] == {0: 2, 3: 1}  # player 2 still on arm 3
+        assert all(counts == {0: 2, 1: 1} for _, counts in probed[13:])
+
+    def test_trace_matches_closed_form(self):
+        trace, _, _ = self.simulate(self.COMMIT_AT)
+        # gaps: 2.6 - 0.2 in slots 0-5, 2.6 - 1.1 in 6-9, 2.6 - 2.0 in 10-12
+        early = 6 * 2.4
+        committed = early + 4 * 1.5 + 3 * 0.6
+        assert trace.checkpoint_regret == (
+            pytest.approx(5 * 2.4),
+            pytest.approx(committed),
+            pytest.approx(committed),
+            pytest.approx(committed),
+        )
+        assert trace.final_regret == pytest.approx(committed)
+        assert not trace.optimal_mask[:13].any()
+        assert trace.optimal_mask[13:].all()
+        assert trace.phase_events == ((0, "explore"), (9, "exploit"))
+
+    def test_one_uncommitted_player_keeps_everyone_stepping(self):
+        trace, calls, probed = self.simulate((9, 5, None))
+        for i in range(3):
+            slots = [t for p, m, t in calls if p == i and m == "observe"]
+            assert slots == list(range(50))
+        assert len(probed) == 50
+        assert all(counts == {0: 2, 3: 1} for _, counts in probed[10:])
+        assert trace.final_regret == pytest.approx(6 * 2.4 + 4 * 1.5 + 40 * 0.6)
+
+
+# (algorithm, spec overrides). SIC players all commit by slot 1,756 and
+# 2,730 of 6,000 in the first two, so most of those runs are fast-forwarded.
+NAIVE_CASES = [
+    ("sic-sda", dict(means=(0.9, 0.6, 0.3, 0.1), capacities=(2, 1, 1, 1), horizon=6000, seed=1)),
+    ("sic-sdi", dict(means=(0.9, 0.6, 0.3, 0.1), capacities=(2, 1, 1, 1), horizon=6000, seed=2)),
+    ("sic-sda", dict(horizon=3000)),
+    ("dpe-sdi", dict(horizon=3000)),
+    ("highest-reward", dict(horizon=3000)),
+    ("idlest-arm", dict(horizon=3000, feedback=Feedback.SDA)),
+]
+
+
+class TestNaiveLoop:
+    @pytest.mark.parametrize("algorithm, overrides", NAIVE_CASES)
+    def test_run_equals_naive_loop(self, algorithm, overrides):
+        cls, forced = ALGORITHMS[algorithm]
+        spec = make_spec(**overrides)
+        spec = dataclasses.replace(spec, feedback=forced or spec.feedback)
+        opt = optimal_profile_for(spec)
+        checkpoints = [1, 100, spec.horizon // 2, spec.horizon]
+        trace = run(cls, spec, checkpoints=checkpoints)
+
+        def make_env(rng):
+            return PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng)
+
+        want = naive_run(
+            cls, make_env, spec, spec.feedback is Feedback.SDI,
+            opt.value, opt.profile.counts, checkpoints,
+        )
+        for field, value in want.items():
+            if field == "optimal_mask":
+                assert np.array_equal(trace.optimal_mask, value)
+            else:
+                assert getattr(trace, field) == value, field
+
+    def test_full_memo_starts_over(self, monkeypatch):
+        monkeypatch.setattr(engine, "_MAX_PLANS", 8)
+        spec = make_spec(horizon=500)
+
+        class RandomArm:
+            def __init__(self, player_id, env):
+                self.rng = env.rng
+
+            def next_action(self, t):
+                return int(self.rng.integers(4))
+
+            def observe(self, obs):
+                pass
+
+        trace = run(RandomArm, spec, checkpoints=[250, 500])
+        opt = optimal_profile_for(spec)
+
+        def make_env(rng):
+            return PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng)
+
+        want = naive_run(
+            RandomArm, make_env, spec, True, opt.value, opt.profile.counts, [250, 500]
+        )
+        assert trace.checkpoint_regret == want["checkpoint_regret"]
+        assert np.array_equal(trace.optimal_mask, want["optimal_mask"])
+
+    @pytest.mark.parametrize("algorithm, overrides", NAIVE_CASES[:2])
+    def test_sic_case_is_fast_forwarded(self, algorithm, overrides):
+        cls, feedback = ALGORITHMS[algorithm]
+        spec = make_spec(feedback=feedback, **overrides)
+        slots = []
+
+        class Counted(cls):
+            def next_action(self, t):
+                slots.append(t)
+                return super().next_action(t)
+
+        run(Counted, spec)
+        assert max(slots) < spec.horizon // 2
 
 
 class TestIsolation:

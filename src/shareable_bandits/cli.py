@@ -17,6 +17,13 @@ def _parse_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
+def _parse_jobs(text: str) -> int:
+    jobs = _parse_int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {jobs}")
+    return jobs
+
+
 def _parse_ints(text: str) -> list[int]:
     return [_parse_int(s) for s in text.split(",") if s.strip()]
 
@@ -48,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--checkpoints", type=_parse_ints, default=None,
                        help="comma list of slots")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument("--jobs", type=_parse_jobs, default=1)
 
     sub.add_parser("list-scenarios", help="list built-in presets")
 

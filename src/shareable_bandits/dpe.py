@@ -7,7 +7,10 @@ and occasionally probes weaker arms; followers replay the assignment via a
 rotation rule, following the DPE line of work (Wang, Proutière et al.,
 AISTATS 2020). Whenever the leader's published state changes it parks on a
 busy arm for the first M slots of a round, so followers notice an
-impossible sharing count, and then broadcasts the change.
+impossible sharing count, and then broadcasts the change. The leader's
+target is what it already holds (the oracle's assignment and its capacity
+bounds); the broadcast carries the difference from the shared view, and
+every player, the leader included, applies the same decoded bits.
 
 Extension beyond the paper: the broadcast is the binary message of
 ``protocol.broadcast_message``, the codec SIC-SDA also uses, instead of
@@ -31,7 +34,7 @@ from .protocol import (
     ProtocolCorruptionError,
     bound_bits,
     broadcast_message,
-    news_bits,
+    payload_bits,
     read_broadcast,
 )
 from .stats import (
@@ -59,14 +62,6 @@ class SharedInfo:
     least_favored: int | None = None
     cap_lower: list[int] = field(default_factory=list)
     cap_upper: list[int] = field(default_factory=list)
-
-    def copy(self) -> "SharedInfo":
-        return SharedInfo(
-            set(self.optimal_set),
-            self.least_favored,
-            list(self.cap_lower),
-            list(self.cap_upper),
-        )
 
 
 def recover_profile(info: SharedInfo, num_players: int) -> list[int]:
@@ -168,20 +163,16 @@ class DpeSdiPolicy:
         # Leader-only state.
         self.stats: PlayerStats | None = None
         self.bounds: CapacityBounds | None = None
-        self._candidate: SharedInfo | None = None
         self._bracket_inputs: list[tuple[int, int] | None] = []
         self._order: list[int] = []  # arms by (-mu, k) at the last oracle call
         self._oracle_caps: list[int] | None = None
         self._opt: tuple[tuple[int, ...], int] | None = None  # counts, least
+        self._opt_set: set[int] = set()  # arms with a positive count in _opt
         self._explore_set: list[int] = []
         self._pending = False
         self._park_arm = 0
 
     # -- helpers ----------------------------------------------------------
-
-    @property
-    def is_leader(self) -> bool:
-        return self.rank == 0
 
     def _plan_round(self) -> None:
         """Rebuild the round plan from the view; raises on a corrupt view."""
@@ -216,55 +207,51 @@ class DpeSdiPolicy:
         self._comm_slot = 0
         self._comm_len = self.num_arms  # the news mask goes first
         self.phase = "comm"
-        if self._leader:
-            cand, view = self._candidate, self.view
-            decision = LeaderDecision(
-                accepted=cand.optimal_set - view.optimal_set,
-                rejected=view.optimal_set - cand.optimal_set,
-                least_favored=(
-                    cand.least_favored
-                    if cand.least_favored != view.least_favored
-                    else None
-                ),
-            )
-            self._message = broadcast_message(
-                decision,
-                range(self.num_arms),
-                view.cap_lower,
-                view.cap_upper,
-                cand.cap_lower,
-                cand.cap_upper,
-                self._nbits,
-            )
-        else:
-            self._message = []
+        self._message = self._leader_message() if self._leader else []
+
+    def _leader_message(self) -> list[int]:
+        """Leader: the bits that move the view to its assignment and bounds."""
+        view, least, bounds = self.view, self._opt[1], self.bounds
+        decision = LeaderDecision(
+            accepted=self._opt_set - view.optimal_set,
+            rejected=view.optimal_set - self._opt_set,
+            least_favored=least if least != view.least_favored else None,
+        )
+        return broadcast_message(
+            decision,
+            range(self.num_arms),
+            view.cap_lower,
+            view.cap_upper,
+            bounds.lower,
+            bounds.upper,
+            self._nbits,
+        )
 
     def _finish_broadcast(self) -> None:
-        if self._leader:
-            # One message carries the whole change.
-            self.view = self._candidate.copy()
-            self._pending = False
-        else:
-            decision, bounds = read_broadcast(
-                self._message, range(self.num_arms), self._nbits
-            )
-            view = self.view
-            if decision.rejected - view.optimal_set:
-                raise ProtocolCorruptionError("removal signal for an absent arm")
-            if decision.accepted & view.optimal_set:
-                raise ProtocolCorruptionError("addition signal for a present arm")
-            view.optimal_set -= decision.rejected
-            view.optimal_set |= decision.accepted
-            if decision.least_favored is not None:
-                view.least_favored = decision.least_favored
-            for arm, (lower, upper) in bounds.items():
-                view.cap_lower[arm] = lower
-                view.cap_upper[arm] = upper
-        self._view_changed = True
+        # The leader applies its own bits, followers the bits they heard.
+        self._apply(self._message)
         self._begin_round()
 
+    def _apply(self, bits: list[int]) -> None:
+        """Decode a broadcast into the view; every player runs this."""
+        decision, bounds = read_broadcast(bits, range(self.num_arms), self._nbits)
+        view = self.view
+        if decision.rejected - view.optimal_set:
+            raise ProtocolCorruptionError("removal signal for an absent arm")
+        if decision.accepted & view.optimal_set:
+            raise ProtocolCorruptionError("addition signal for a present arm")
+        view.optimal_set -= decision.rejected
+        view.optimal_set |= decision.accepted
+        if decision.least_favored is not None:
+            view.least_favored = decision.least_favored
+        for arm, (lower, upper) in bounds.items():
+            view.cap_lower[arm] = lower
+            view.cap_upper[arm] = upper
+        self._pending = False
+        self._view_changed = True
+
     def _leader_update(self) -> None:
-        """Refresh bounds, the optimal assignment, and the probe set."""
+        """Refresh bounds, the optimal assignment, the probe set and ``_pending``."""
         stats, bounds = self.stats, self.bounds
         assert stats is not None and bounds is not None
         # A bracket update is a function of the arm's sums and counts, and the
@@ -287,11 +274,8 @@ class DpeSdiPolicy:
             opt = oracle(mu, bounds.lower, self.num_players)
             self._order = sorted(range(self.num_arms), key=lambda k: (-mu[k], k))
             self._oracle_caps = list(bounds.lower)
-            previous = self._opt
             self._opt = opt.profile.counts, opt.least_favored
-            profile_changed = self._opt != previous
-        else:
-            profile_changed = False
+            self._opt_set = {k for k, c in enumerate(opt.profile.counts) if c > 0}
         counts, least = self._opt
         budget = klucb_budget(self._t + 1)
         self._explore_set = [
@@ -300,25 +284,16 @@ class DpeSdiPolicy:
             if counts[k] == 0
             and klucb_at_least(mu[k], stats.ie_count[k], budget, mu[least])
         ]
-        cand = self._candidate
-        if (
-            profile_changed
-            or cand.cap_lower != bounds.lower
-            or cand.cap_upper != bounds.upper
-        ):
-            self._candidate = SharedInfo(
-                {k for k, c in enumerate(counts) if c > 0},
-                least,
-                list(bounds.lower),
-                list(bounds.upper),
-            )
-        if self.num_players == 1:
-            # Nobody to inform; adopt updates directly.
-            self.view = self._candidate.copy()
-            self._view_changed = True
-            self._pending = False
-        else:
-            self._pending = self.view != self._candidate
+        view = self.view
+        self._pending = (
+            view.optimal_set != self._opt_set
+            or view.least_favored != least
+            or view.cap_lower != bounds.lower
+            or view.cap_upper != bounds.upper
+        )
+        if self._pending and self.num_players == 1:
+            # Nobody to inform: a broadcast that takes no slot.
+            self._apply(self._leader_message())
 
     # -- engine interface --------------------------------------------------
 
@@ -420,8 +395,7 @@ class DpeSdiPolicy:
         self._comm_slot += 1
         if self._comm_slot == self.num_arms:
             # Every follower now holds the news mask, which sizes the rest.
-            news = sum(self._message[: self.num_arms])
-            self._comm_len += news * news_bits(self._nbits)
+            self._comm_len += payload_bits(self._message[: self.num_arms], self._nbits)
         if self._comm_slot == self._comm_len:
             self._finish_broadcast()
 

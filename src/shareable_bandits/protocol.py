@@ -92,9 +92,9 @@ def bound_bits(num_players: int) -> int:
     return max(1, (num_players - 1).bit_length())
 
 
-def news_bits(nbits: int) -> int:
-    """Message bits per arm with news: its flags and two nbits-wide bounds."""
-    return NUM_FLAG_STEPS + 2 * nbits
+def payload_bits(mask: list[int], nbits: int) -> int:
+    """Message bits after the news ``mask``: flags and two bounds per arm with news."""
+    return sum(mask) * (NUM_FLAG_STEPS + 2 * nbits)
 
 
 @dataclass

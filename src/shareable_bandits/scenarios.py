@@ -68,6 +68,10 @@ class Scenario:
             )
         except (TypeError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
+        if not isinstance(self.permute_means, bool):
+            raise ScenarioError(
+                f"permute_means must be true or false, got {self.permute_means!r}"
+            )
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ScenarioError(f"delta must lie in (0, 1), got {self.delta}")
         if any(

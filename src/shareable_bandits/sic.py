@@ -56,7 +56,7 @@ from .protocol import (
     broadcast_message,
     decode_bits,
     encode_stat,
-    news_bits,
+    payload_bits,
     read_broadcast,
 )
 from .stats import CapacityBounds, PlayerStats, means_separated, update_capacity_bounds
@@ -337,9 +337,8 @@ class SicSdaPolicy:
         message = self._outbox if self.is_leader else self._inbox
         if self._stage_start == 0:
             # Every follower now holds the news mask, which sizes the rest.
-            news = sum(message[:k_t])
-            if news:
-                payload_len = news * news_bits(self._bound_nbits)
+            payload_len = payload_bits(message[:k_t], self._bound_nbits)
+            if payload_len:
                 self._begin_stage(_FORTH, self._pairs, payload_len, k_t)
                 return
         self._seen, bounds = read_broadcast(message, self.active, self._bound_nbits)

@@ -122,7 +122,7 @@ def random_shared_info(rng, num_arms, num_players):
 
 
 def mutate(rng, info, num_arms, num_players):
-    new = info.copy()
+    new = copy.deepcopy(info)
     kind = rng.integers(4)
     if kind == 0 and len(new.optimal_set) > 1:
         drop = int(rng.choice(sorted(new.optimal_set)))
@@ -156,20 +156,31 @@ def broadcast_players(view, num_players, num_arms):
         p = DpeSdiPolicy(rank, env)
         p.num_players, p.rank, p._leader = num_players, rank, rank == 0
         p._nbits = bound_bits(num_players)
-        p.view = view.copy()
+        p.view = copy.deepcopy(view)
         players.append(p)
     return players
+
+
+def set_target(leader, info):
+    """Give the leader ``info`` as its assignment and capacity bounds."""
+    counts = recover_profile(info, leader.num_players)
+    leader._opt = tuple(counts), info.least_favored
+    leader._opt_set = {k for k, c in enumerate(counts) if c > 0}
+    leader.bounds = CapacityBounds(len(counts), leader.num_players)
+    leader.bounds.lower = list(info.cap_lower)
+    leader.bounds.upper = list(info.cap_upper)
 
 
 def transfer_through_counts(new, view, num_players, num_arms):
     """One broadcast round through the policies' own code.
 
-    The leader sends ``new`` against the shared ``view``; every follower
-    decodes it from the sharing count on its own arm. Returns the leader's
-    arm per slot and each player's view afterwards.
+    The leader sends its target ``new`` against the shared ``view``; every
+    follower decodes it from the sharing count on its own arm, and the
+    leader applies its own bits. Returns the leader's arm per slot and each
+    player's view afterwards.
     """
     players = broadcast_players(view, num_players, num_arms)
-    players[0]._candidate = new.copy()
+    set_target(players[0], new)
     for p in players:
         p._begin_broadcast()
     leader_arms = []
@@ -211,7 +222,7 @@ class TestRoundPlan:
 class TestBroadcastProtocol:
     def test_single_least_favored_change(self):
         view = SharedInfo({0, 1}, 0, [2, 1, 1, 1], [3, 3, 3, 3])
-        new = view.copy()
+        new = copy.deepcopy(view)
         new.least_favored = 1
         arms, views = transfer_through_counts(new, view, num_players=3, num_arms=4)
         # news mask, arm 1's reject/accept/least flags, lower - 1, upper - 1
@@ -294,7 +305,7 @@ class TestSingleArmView:
     def test_followers_detect_a_pending_broadcast(self):
         players = self.start_round()
         leader = players[0]
-        leader._candidate = SharedInfo({0, 2}, 2, [1, 1, 2, 1], [3, 3, 3, 3])
+        set_target(leader, SharedInfo({0, 2}, 2, [1, 1, 2, 1], [3, 3, 3, 3]))
         leader._pending = True
         leader._begin_round()
         for t in range(3):
@@ -341,6 +352,31 @@ class TestEndToEnd:
         )
         trace = run(DpeSdiPolicy, spec)
         assert trace.optimal_fraction(500) > 0.9
+
+    def test_single_player_applies_without_broadcast(self):
+        """With M = 1 the leader applies its own bits at once, in no slot."""
+        spec = make_spec(
+            num_players=1,
+            capacities=(1, 1, 1, 1, 1),
+            horizon=3000,
+            means=(0.55, 0.6, 0.5, 0.3, 0.2),
+        )
+        phases, views = set(), set()
+
+        def probe(t, policies, counts):
+            p = policies[0]
+            phases.add(p.phase)
+            if p._mode == "explore-round" and p._round_slot == 0:
+                view = p.view
+                target = (p._opt_set, p._opt[1], p.bounds.lower, p.bounds.upper)
+                assert (
+                    view.optimal_set, view.least_favored, view.cap_lower, view.cap_upper
+                ) == target
+                views.add((frozenset(view.optimal_set), view.least_favored))
+
+        run(DpeSdiPolicy, spec, probe=probe)
+        assert "comm" not in phases and "explore" in phases
+        assert len(views) > 1
 
     def test_views_synchronized_outside_comm(self):
         spec = make_spec(horizon=4000)

@@ -102,13 +102,15 @@ class TestScenarioValidation:
             (dict(algorithms=["dpe-sdi", "dpe-sdi"]), "algorithms"),
             (dict(means=["0.9", 0.6, 0.3, 0.1]), "means"),
             (dict(means=[0.9, 0.6, 0.3, True]), "means"),
+            (dict(permute_means="false"), "permute_means"),
+            (dict(permute_means=0), "permute_means"),
         ],
         ids=["infeasible-capacity", "zero-horizon", "negative-horizon", "delta-two",
              "delta-zero", "negative-seed", "fractional-seed", "fractional-capacity",
              "bool-capacity", "fractional-horizon", "float-arms", "fractional-players",
              "bool-players", "fractional-checkpoint", "no-seeds", "repeated-seed",
              "bool-seed", "no-algorithms", "repeated-algorithm", "string-mean",
-             "bool-mean"],
+             "bool-mean", "string-permute-means", "int-permute-means"],
     )
     def test_invalid_input_rejected(self, changes, match):
         with pytest.raises(ScenarioError, match=match):
@@ -249,6 +251,8 @@ class TestCli:
             ({"means": [0.9, 0.6, 0.3, True]}, ["validate"]),
             ({"means": ["0.9", 0.6, 0.3, 0.1]}, ["run"]),
             ({"means": [0.9, 0.6, 0.3, True]}, ["run"]),
+            ({"permute_means": "false"}, ["validate"]),
+            ({"permute_means": "false"}, ["run"]),
         ],
         ids=["short-capacities", "zero-horizon", "delta-two", "negative-seed",
              "fractional-capacity", "fractional-horizon", "fractional-checkpoint",
@@ -256,7 +260,7 @@ class TestCli:
              "run-fractional-capacity", "run-fractional-horizon",
              "run-fractional-checkpoint", "run-no-seeds", "run-repeated-seed",
              "run-repeated-algorithm", "string-mean", "bool-mean", "run-string-mean",
-             "run-bool-mean"],
+             "run-bool-mean", "string-permute-means", "run-string-permute-means"],
     )
     def test_validate_bad_file(self, tmp_path, capsys, changes, command):
         data = json.loads(tiny_scenario().to_json())
@@ -278,6 +282,17 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {option}: expected " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        path = tmp_path / "sc.json"
+        path.write_text(tiny_scenario().to_json())
+        argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                "--jobs", jobs]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --jobs: expected at least 1" in capsys.readouterr().err
 
     def test_run_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "sc.json"

@@ -25,7 +25,12 @@ def _parse_jobs(text: str) -> int:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [_parse_int(s) for s in text.split(",") if s.strip()]
+    values = [_parse_int(s) for s in text.split(",") if s.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}"
+        )
+    return values
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -79,7 +84,7 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         )
     if args.seeds is not None:
         changes["seeds"] = args.seeds
-    if args.checkpoints:
+    if args.checkpoints is not None:
         changes["checkpoints"] = args.checkpoints
     return dataclasses.replace(scenario, **changes)
 

@@ -6,7 +6,7 @@ player only its own observation. Players never see anything else: the
 observation carries the arm's total reward plus either the sharing count
 (SDI) or a 1-bit shared flag (SDA).
 
-Two things keep ``run`` cheap without changing a single output value:
+Three things keep ``run`` cheap without changing a single output value:
 
 - **Slot plans.** Everything about a slot except the arm draws depends only
   on the action profile: each player's arm, capped factor min(a_k, m_k),
@@ -18,6 +18,12 @@ Two things keep ``run`` cheap without changing a single output value:
   rest of the run, so the engine draws no arms and calls no policy: it only
   adds the committed profile's gap slot by slot, fills the checkpoints and
   the optimality mask, and keeps calling ``probe``.
+- **Interned observations.** A player's observation depends only on its
+  arm, its arm's count and the arm's draw. ``run`` builds the two
+  observations for each (arm, count), one for a 0 draw and one for a 1,
+  the first time a plan needs them, so a run builds at most 2·K·M of
+  them and a stepped player-slot builds none. ``run`` also binds every
+  player's ``next_action`` and ``observe`` once, before the first slot.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .model import (
     EnvSpec,
     Feedback,
     OptimalProfile,
+    is_integral,
     optimal_profile_for,
 )
 
@@ -44,14 +51,15 @@ class InvalidActionError(RuntimeError):
     """A policy emitted an arm index outside [0, K)."""
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One player's view of one slot.
 
     ``reward`` is the arm's total reward (identical for every player on the
     arm). ``count`` is the number of players on the arm under SDI feedback
     and None under SDA; ``shared`` is the 1-bit flag count > 1 and is set in
-    both modes.
+    both modes. An observation is immutable: the engine hands the same
+    object to every player on the arm and reuses it in later slots.
     """
 
     arm: int
@@ -82,6 +90,9 @@ class Policy(Protocol):
     committed for good: it plays that arm every remaining slot, and the
     attribute never changes again. Once every player is committed the engine
     stops calling them. A player that must keep observing leaves it unset.
+
+    The engine reads ``next_action`` and ``observe`` once per run, before
+    the first slot, and calls those bound methods in every slot.
     """
 
     def next_action(self, t: int) -> int: ...
@@ -95,9 +106,9 @@ PolicyFactory = Callable[[int, PublicEnvInfo], Policy]
 # many slots, including every slot after all players have committed.
 Probe = Callable[[int, Sequence[Policy], dict[int, int]], None]
 
-# One player's part of a slot plan: its arm, its capped factor
-# min(a_k, m_k) as a float, its count (None under SDA) and its shared flag.
-_Entry = tuple[int, float, int | None, bool]
+# One player's part of a slot plan: its observation when its arm's X_k is 0
+# and when it is 1. The second carries the capped factor min(a_k, m_k).
+_Entry = tuple[Observation, Observation]
 
 
 @dataclass
@@ -128,7 +139,7 @@ def _plan(
     Returns the players per arm, in first-appearance order, and each
     player's entry in action order; a player's reward is its factor when its
     arm's X_k is 1 and 0.0 otherwise. ``entries`` interns entries by
-    (arm, count), so plans that share them share the tuples.
+    (arm, count), so plans that share them share the observations.
     """
     num_arms = len(caps)
     counts: dict[int, int] = {}
@@ -145,7 +156,11 @@ def _plan(
         entry = entries.get((a, c))
         if entry is None:
             factor = float(c if c <= caps[a] else caps[a])
-            entry = entries[a, c] = (a, factor, c if sdi else None, c > 1)
+            count = c if sdi else None
+            entry = entries[a, c] = (
+                Observation(a, 0.0, count, c > 1),
+                Observation(a, factor, count, c > 1),
+            )
         players.append(entry)
     return counts, tuple(players)
 
@@ -165,10 +180,7 @@ def step(
     row = (rng.random(spec.num_arms) < np.asarray(spec.means)).tobytes()
     sdi = spec.feedback is Feedback.SDI
     players = _plan(actions, spec.capacities, sdi, {})[1]
-    return [
-        Observation(a, factor if row[a] else 0.0, c, shared)
-        for a, factor, c, shared in players
-    ]
+    return [hit if row[a] else miss for a, (miss, hit) in zip(actions, players)]
 
 
 def run(
@@ -207,7 +219,10 @@ def run(
         for i in range(M)
     ]
 
-    cps = sorted(set(int(c) for c in checkpoints))
+    cps = list(checkpoints)
+    if any(not is_integral(c) for c in cps):
+        raise ValueError(f"checkpoints must be integers, got {cps}")
+    cps = sorted(set(int(c) for c in cps))
     if any(c < 1 or c > T for c in cps):
         raise ValueError("checkpoints must lie in [1, horizon]")
     cp_set = set(cps)
@@ -240,6 +255,8 @@ def run(
 
     regret = 0.0
     means_array = np.asarray(means)
+    next_actions = [p.next_action for p in policies]
+    observers = [p.observe for p in policies]
     draws = b""  # X_k bytes of the chunk's slots, K per slot
     offset = 0
     first = 0  # players before this index are committed for good
@@ -255,14 +272,14 @@ def run(
         row = draws[offset : offset + K]
         offset += K
 
-        arms = [p.next_action(t) for p in policies]
+        arms = [next_action(t) for next_action in next_actions]
         players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms, t)
         regret += gap
         if optimal:
             optimal_mask[t] = True
 
-        for p, (a, factor, c, shared) in zip(policies, players):
-            p.observe(Observation(a, factor if row[a] else 0.0, c, shared))
+        for observe, a, (miss, hit) in zip(observers, arms, players):
+            observe(hit if row[a] else miss)
 
         phase = getattr(policies[0], "phase", None)
         if phase is not None and phase != last_phase:

@@ -53,6 +53,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         self.validate()
+        self.seeds = [int(s) for s in self.seeds]  # numpy seeds print as ints
         if not self.checkpoints:
             self.checkpoints = default_checkpoints(self.horizon)
 
@@ -74,9 +75,7 @@ class Scenario:
             )
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ScenarioError(f"delta must lie in (0, 1), got {self.delta}")
-        if any(
-            not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in self.seeds
-        ):
+        if any(not is_integral(s) or s < 0 for s in self.seeds):
             raise ScenarioError(f"seeds must be non-negative integers, got {self.seeds}")
         for name in ("seeds", "algorithms"):
             values = getattr(self, name)

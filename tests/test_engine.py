@@ -180,6 +180,43 @@ class TestRun:
         run(factory, spec, probe=lambda t, ps, c: grabbed.extend(ps) if t == 0 else None)
         a, b, c = grabbed
         assert a.seen == b.seen == c.seen
+        assert all(x is y is z for x, y, z in zip(a.seen, b.seen, c.seen))
+
+    def test_observation_is_immutable(self):
+        obs = step([0, 0, 1], make_spec(), fresh_rng())[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obs.reward = 0.0
+
+    def test_observations_are_interned_per_run(self):
+        """A run builds at most two observations per (arm, count), whatever T."""
+        cls = ALGORITHMS["highest-reward"][0]
+        distinct = {}
+        for horizon in (2_000, 20_000):
+            seen = {}  # id -> observation, kept alive so no id is reused
+
+            class Recording(cls):
+                def observe(self, obs):
+                    seen[id(obs)] = obs
+                    super().observe(obs)
+
+            spec = make_spec(horizon=horizon)
+            run(Recording, spec)
+            distinct[horizon] = len(seen)
+        bound = 2 * spec.num_arms * spec.num_players
+        assert distinct[2_000] == distinct[20_000] <= bound
+
+    @pytest.mark.parametrize(
+        "checkpoints", [[2.7, True, 10], [2.0], [True], [np.float64(10)]]
+    )
+    def test_rejects_non_integer_checkpoints(self, checkpoints):
+        with pytest.raises(ValueError, match="checkpoints must be integers"):
+            run(fixed_profile_factory([2, 1, 0, 0]), make_spec(horizon=10),
+                checkpoints=checkpoints)
+
+    def test_accepts_numpy_integer_checkpoints(self):
+        trace = run(fixed_profile_factory([2, 1, 0, 0]), make_spec(horizon=10),
+                    checkpoints=[np.int64(10), np.int32(5)])
+        assert trace.checkpoints == (5, 10)
 
     def test_aborts_on_out_of_range_policy(self):
         spec = make_spec(horizon=10)

@@ -98,6 +98,8 @@ class TestScenarioValidation:
             (dict(seeds=[]), "seeds"),
             (dict(seeds=[1, 1]), "seeds"),
             (dict(seeds=[True]), "seeds"),
+            (dict(seeds=[np.int64(0), np.int64(-1)]), "seeds"),
+            (dict(seeds=[np.bool_(True)]), "seeds"),
             (dict(algorithms=[]), "algorithms"),
             (dict(algorithms=["dpe-sdi", "dpe-sdi"]), "algorithms"),
             (dict(means=["0.9", 0.6, 0.3, 0.1]), "means"),
@@ -109,8 +111,9 @@ class TestScenarioValidation:
              "delta-zero", "negative-seed", "fractional-seed", "fractional-capacity",
              "bool-capacity", "fractional-horizon", "float-arms", "fractional-players",
              "bool-players", "fractional-checkpoint", "no-seeds", "repeated-seed",
-             "bool-seed", "no-algorithms", "repeated-algorithm", "string-mean",
-             "bool-mean", "string-permute-means", "int-permute-means"],
+             "bool-seed", "negative-numpy-seed", "numpy-bool-seed", "no-algorithms",
+             "repeated-algorithm", "string-mean", "bool-mean", "string-permute-means",
+             "int-permute-means"],
     )
     def test_invalid_input_rejected(self, changes, match):
         with pytest.raises(ScenarioError, match=match):
@@ -122,7 +125,9 @@ class TestScenarioValidation:
             capacities=list(np.ones(4, dtype=np.int64)),
             horizon=np.int64(400),
             checkpoints=[np.int64(100), 400],
+            seeds=[np.int64(0), np.int64(1)],
         )
+        assert repr(sc.seeds) == "[0, 1]"  # as summary.txt prints them
         path = tmp_path / "scenario.json"
         path.write_text(sc.to_json())
         assert Scenario.from_file(path) == sc
@@ -282,6 +287,18 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {option}: expected " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", ",", " , "])
+    def test_empty_checkpoints_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "sc.json"
+        path.write_text(tiny_scenario().to_json())
+        argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                "--checkpoints", text]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --checkpoints: expected " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):

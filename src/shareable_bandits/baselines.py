@@ -16,16 +16,23 @@ def _warmup_arm(player_id: int, t: int, num_arms: int) -> int:
 
 
 class HighestRewardPolicy:
-    """Play the arm with the highest own empirical total-reward mean."""
+    """Play the arm with the highest own empirical total-reward mean.
+
+    After warm-up it states engine blocks: while it plays its argmax b, only
+    b's mean moves, and it is lowest if b pays nothing, so b stays the argmax
+    for as long as S_b / (N_b + j) beats every other mean.
+    """
 
     def __init__(self, player_id: int, env: PublicEnvInfo) -> None:
         self.player_id = player_id
         self.num_arms = env.num_arms
+        self.horizon = env.horizon
         self.phase = "explore"
         self._sums = [0.0] * env.num_arms
         self._pulls = [0] * env.num_arms
         self._means = [0.0] * env.num_arms
         self._best = 0
+        self._stable_until: int | None = None  # absolute slot; None after observing
 
     def _rescan(self) -> None:
         means = self._means
@@ -40,10 +47,36 @@ class HighestRewardPolicy:
             return _warmup_arm(self.player_id, t, self.num_arms)
         return self._best
 
+    def stable_for(self, t: int) -> int:
+        """n >= 1; when n > 1, any j <= n unpaid pulls of the argmax keep it."""
+        if t < self.num_arms:
+            return 1
+        if self._stable_until is None:
+            b = self._best
+            rest = max(self._means[:b] + self._means[b + 1 :], default=0.0)
+            if rest > 0:
+                # S_b / (N_b + n) > rest holds for n < S_b / rest - N_b. One
+                # slot less keeps it strict, since ties go to the lower index;
+                # one more keeps it strict after rounding in the division.
+                n = int(self._sums[b] / rest) - self._pulls[b] - 2
+            else:
+                # No other arm has paid: b keeps the strictly highest mean,
+                # or b is arm 0 and every mean is 0, for the rest of the run.
+                n = self.horizon - t
+            self._stable_until = t + max(n, 1)
+        return self._stable_until - t
+
     def observe(self, obs: Observation) -> None:
-        k = obs.arm
-        self._pulls[k] += 1
-        self._sums[k] += obs.reward
+        self._add(obs.arm, obs.reward, 1)
+
+    def observe_block(self, obs: Observation, hits: int, n: int) -> None:
+        # Rewards are integer-valued, so the sum equals n sequential additions.
+        self._add(obs.arm, obs.reward * hits, n)
+
+    def _add(self, k: int, reward: float, pulls: int) -> None:
+        self._stable_until = None
+        self._pulls[k] += pulls
+        self._sums[k] += reward
         old = self._means[k]
         mean = self._sums[k] / self._pulls[k]
         self._means[k] = mean

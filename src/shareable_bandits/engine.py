@@ -13,11 +13,17 @@ Three things keep ``run`` cheap without changing a single output value:
   count and shared flag, the slot's regret gap and whether it is optimal.
   ``run`` builds this plan once per distinct action tuple and keeps it in a
   per-run dict; a slot is then one lookup plus the draws.
-- **Fast-forward.** A policy may expose ``exploit_arm``, which once set
-  never changes. When every player has set it, the profile is fixed for the
-  rest of the run, so the engine draws no arms and calls no policy: it only
-  adds the committed profile's gap slot by slot, fills the checkpoints and
-  the optimality mask, and keeps calling ``probe``.
+- **Blocks.** A policy may state that its arm stays fixed for the next n
+  slots whatever it observes (``stable_for``), and then take those n slots'
+  outcome in one call (``observe_block``): its interned hit observation and
+  the number of slots its arm drew 1. A committed player (``exploit_arm``
+  set) is an unbounded block with nothing to observe. When every player is
+  committed or states blocks, the engine takes the shortest block at once.
+  It counts each occupied arm's hits in the drawn chunks, which it draws at
+  the slots stepping would. It adds the profile's gap slot by slot, fills
+  the checkpoints and the optimality mask, and keeps calling ``probe``
+  every slot. When every player has committed, the block runs to the
+  horizon and draws nothing.
 - **Interned observations.** A player's observation depends only on its
   arm, its arm's count and the arm's draw. ``run`` builds the two
   observations for each (arm, count), one for a 0 draw and one for a 1,
@@ -85,14 +91,30 @@ class PublicEnvInfo:
 class Policy(Protocol):
     """One player. The engine calls ``next_action`` then ``observe`` each slot.
 
+    A policy may also state blocks with two methods, both or neither:
+
+    - ``stable_for(t) -> n``, with n >= 1: the arm it plays at slot t is
+      also its arm at slots t + 1, ..., t + n - 1, whatever it observes in
+      them.
+    - ``observe_block(obs, hits, n)``: the outcome of n such slots at once.
+      ``obs`` is the observation of a 1 draw on its arm with that arm's
+      count; ``hits`` is the number of the n slots whose draw was 1.
+
+    Once every player is committed or states blocks, every slot lies in a
+    block, however short: for the shortest stated block, the engine calls
+    ``stable_for`` and ``next_action`` for its first slot and then
+    ``observe_block``, and no other method in it. ``phase`` is read after a
+    block's last slot, so a policy may change it only at a block end.
+
     A policy may also have an ``exploit_arm`` attribute, an int or None,
     read with ``getattr`` before each slot. An int means the player is
     committed for good: it plays that arm every remaining slot, and the
-    attribute never changes again. Once every player is committed the engine
-    stops calling them. A player that must keep observing leaves it unset.
+    attribute never changes again. The engine treats it as an unbounded
+    block with nothing to observe and calls none of its methods again. A
+    player that must keep observing leaves it unset.
 
-    The engine reads ``next_action`` and ``observe`` once per run, before
-    the first slot, and calls those bound methods in every slot.
+    The engine reads ``next_action``, ``observe`` and ``stable_for`` once
+    per run, before the first slot, and calls those bound methods.
     """
 
     def next_action(self, t: int) -> int: ...
@@ -103,7 +125,7 @@ class Policy(Protocol):
 PolicyFactory = Callable[[int, PublicEnvInfo], Policy]
 # Called after every slot with the slot, the players and the players per
 # arm. ``counts`` is read-only: the engine may pass the same dict object in
-# many slots, including every slot after all players have committed.
+# many slots, including every slot of a block.
 Probe = Callable[[int, Sequence[Policy], dict[int, int]], None]
 
 # One player's part of a slot plan: its observation when its arm's X_k is 0
@@ -163,6 +185,22 @@ def _plan(
             )
         players.append(entry)
     return counts, tuple(players)
+
+
+def _raised_by(tb, policies: Sequence[Policy]) -> tuple[int, str] | None:
+    """The player whose method a traceback passes through first, and the method.
+
+    Walks from ``run`` inward to the first frame whose ``self`` is one of
+    the players. Returns None when the error did not come from a player.
+    """
+    while tb is not None:
+        frame = tb.tb_frame
+        owner = frame.f_locals.get("self")
+        for i, policy in enumerate(policies):
+            if policy is owner:
+                return i, frame.f_code.co_name
+        tb = tb.tb_next
+    return None
 
 
 def step(
@@ -257,55 +295,98 @@ def run(
     means_array = np.asarray(means)
     next_actions = [p.next_action for p in policies]
     observers = [p.observe for p in policies]
-    draws = b""  # X_k bytes of the chunk's slots, K per slot
+    stable_fors = [getattr(p, "stable_for", None) for p in policies]
+
+    def draw(t: int) -> bytes:
+        """X_k bytes of the chunk that starts at slot t, K per slot."""
+        return (env_rng.random((min(_CHUNK, T - t), K)) < means_array).tobytes()
+
+    draws = b""
     offset = 0
-    first = 0  # players before this index are committed for good
+    first = 0  # players before this index are committed or state blocks
     t = 0
-    while t < T:
-        while first < M and getattr(policies[first], "exploit_arm", None) is not None:
-            first += 1
-        if first == M:
-            break
-        if offset == len(draws):
-            offset = 0
-            draws = (env_rng.random((min(_CHUNK, T - t), K)) < means_array).tobytes()
-        row = draws[offset : offset + K]
-        offset += K
+    try:
+        while t < T:
+            while first < M and (
+                stable_fors[first] is not None
+                or getattr(policies[first], "exploit_arm", None) is not None
+            ):
+                first += 1
+            if first < M:
+                if offset == len(draws):
+                    offset = 0
+                    draws = draw(t)
+                row = draws[offset : offset + K]
+                offset += K
 
-        arms = [next_action(t) for next_action in next_actions]
-        players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms, t)
-        regret += gap
-        if optimal:
-            optimal_mask[t] = True
+                arms = [next_action(t) for next_action in next_actions]
+                players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms, t)
+                for observe, a, (miss, hit) in zip(observers, arms, players):
+                    observe(hit if row[a] else miss)
+            else:
+                # Every player is committed or states blocks: take the
+                # shortest block, to the horizon when all have committed.
+                arms = [getattr(p, "exploit_arm", None) for p in policies]
+                live = [i for i, a in enumerate(arms) if a is None]
+                n = T - t
+                for i in live:
+                    n = min(n, stable_fors[i](t))
+                    arms[i] = next_actions[i](t)
+                players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms, t)
+                last = t + n - 1
+                if live:
+                    # Hits per occupied arm, counted in each chunk the block
+                    # spans; chunks are drawn at the slots stepping would.
+                    hits = dict.fromkeys([arms[i] for i in live], 0)
+                    s = t
+                    while s <= last:
+                        if offset == len(draws):
+                            offset = 0
+                            draws = draw(s)
+                        rows = min(last + 1 - s, (len(draws) - offset) // K)
+                        stop = offset + rows * K
+                        for a in hits:
+                            hits[a] += draws[offset + a : stop : K].count(1)
+                        offset = stop
+                        s += rows
+                    for i in live:
+                        policies[i].observe_block(players[i][1], hits[arms[i]], n)
+                # Every slot of the block but its last, which the tail below
+                # takes. Regret is added slot by slot: n * gap rounds otherwise.
+                if optimal:
+                    optimal_mask[t:last] = True
+                for s in range(t, last):
+                    regret += gap
+                    if s + 1 in cp_set:
+                        cp_regret.append(regret)
+                    if probe is not None:
+                        probe(s, policies, counts)
+                t = last
 
-        for observe, a, (miss, hit) in zip(observers, arms, players):
-            observe(hit if row[a] else miss)
-
-        phase = getattr(policies[0], "phase", None)
-        if phase is not None and phase != last_phase:
-            phase_events.append((t, str(phase)))
-            last_phase = phase
-
-        if t + 1 in cp_set:
-            cp_regret.append(regret)
-
-        if probe is not None:
-            probe(t, policies, counts)
-        t += 1
-
-    if t < T:
-        # The profile is fixed from slot t on. It comes from the committed
-        # arms, not from slot t - 1: a player that committed in that slot's
-        # observe may have played another arm in it. Regret is still added
-        # per slot, since a product (T - t) * gap rounds differently.
-        _, gap, optimal, counts = plan_for([p.exploit_arm for p in policies], t)
-        optimal_mask[t:] = optimal
-        for t in range(t, T):
             regret += gap
+            if optimal:
+                optimal_mask[t] = True
+
+            phase = getattr(policies[0], "phase", None)
+            if phase is not None and phase != last_phase:
+                phase_events.append((t, str(phase)))
+                last_phase = phase
+
             if t + 1 in cp_set:
                 cp_regret.append(regret)
+
             if probe is not None:
                 probe(t, policies, counts)
+            t += 1
+    except Exception as exc:
+        raised = _raised_by(exc.__traceback__, policies)
+        if raised is None:
+            raise
+        i, method = raised
+        where = f"slots {t}-{t + n - 1}" if method == "observe_block" else f"slot {t}"
+        phase = getattr(policies[i], "phase", None)
+        exc.args = (f"{exc} at {where}, player {i} in phase {phase!r}",)
+        raise
 
     return RunTrace(
         horizon=T,

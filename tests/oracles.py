@@ -266,7 +266,7 @@ class SlotView:
 
 
 def naive_run(make_policy, make_env, spec, sdi, best_value, best_counts, checkpoints):
-    """Step every slot of a run the plain way: no plan memo, no fast-forward.
+    """Step every slot of a run the plain way: no plan memo, no blocks.
 
     ``spec`` is read for num_arms, num_players, means, capacities, horizon
     and seed, with the same ``SeedSequence(seed).spawn(M + 1)`` streams as a

@@ -79,6 +79,115 @@ class TestHighestReward:
         assert policy.next_action(10) == 1
 
 
+def random_states(seed, count):
+    """Highest-reward players past warm-up, with ties, zero means and large pull counts.
+
+    Every sum is integer-valued, as the engine's rewards are. Some arms copy
+    another arm's mean exactly, and some sums sit at an integer multiple of
+    another mean, where a bound that is not strict ends on a tie.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        num_arms = int(rng.integers(2, 7))
+        policy = HighestRewardPolicy(0, make_env(num_arms=num_arms, horizon=20_000))
+        for k in range(num_arms):
+            pulls = int(rng.choice([1, 3, 40, 1_000, 100_000, 2_000_000]))
+            if rng.random() < 0.25:
+                total = 0
+            else:
+                total = int(rng.integers(0, 3 * pulls + 1))
+            if k and rng.random() < 0.3:  # a copy of an earlier arm's mean
+                j = int(rng.integers(k))
+                scale = int(rng.integers(1, 4))
+                pulls, total = policy._pulls[j] * scale, int(policy._sums[j]) * scale
+            policy._pulls[k] = pulls
+            policy._sums[k] = float(total)
+            policy._means[k] = total / pulls
+        means = policy._means
+        policy._best = max(range(num_arms), key=lambda k: (means[k], -k))
+        if rng.random() < 0.5:  # put b's sum on an integer multiple of the runner-up
+            b = policy._best
+            rest = max(means[:b] + means[b + 1 :])
+            if rest > 0:
+                pulls = policy._pulls[b]
+                extra = int(rng.integers(1, 50))
+                total = rest * (pulls + extra)
+                if total == int(total) and total / pulls > rest:
+                    policy._sums[b] = total
+                    means[b] = total / pulls
+        yield policy
+
+
+def copy_state(policy):
+    return (list(policy._sums), list(policy._pulls), list(policy._means), policy._best)
+
+
+class TestHighestRewardBlocks:
+    def test_warmup_states_no_block(self):
+        policy = HighestRewardPolicy(0, make_env())
+        assert [policy.stable_for(t) for t in range(4)] == [1, 1, 1, 1]
+
+    def test_zero_pulls_within_the_bound_keep_the_argmax(self):
+        checked = 0
+        for policy in random_states(11, 400):
+            b, t = policy._best, policy.num_arms
+            n = policy.stable_for(t)
+            if n == 1 or n > 30_000:
+                continue
+            checked += 1
+            for j in range(1, n + 1):
+                policy.observe(Observation(b, 0.0, 1, False))
+                assert policy._best == b, (j, n)
+        assert checked >= 100
+
+    def test_ties_on_the_bound_stay_strict(self):
+        # Arm 0's mean is 0.5; arm 1 has S = 60 over N = 100 pulls, so 20
+        # zero pulls bring it to exactly 0.5, where the lower index wins.
+        policy = HighestRewardPolicy(0, make_env(num_arms=2))
+        policy._sums, policy._pulls = [1.0, 60.0], [2, 100]
+        policy._means, policy._best = [0.5, 0.6], 1
+        n = policy.stable_for(2)
+        assert 1 < n < 20
+        for _ in range(20):
+            policy.observe(Observation(1, 0.0, 1, False))
+        assert policy._best == 0
+
+    def test_unbounded_when_no_other_arm_has_paid(self):
+        policy = HighestRewardPolicy(0, make_env(horizon=500))
+        for arm, reward in enumerate([0.0, 1.0, 0.0, 0.0]):
+            policy.observe(Observation(arm, reward, 1, False))
+        assert policy.stable_for(4) == 496
+        policy = HighestRewardPolicy(0, make_env(horizon=500))
+        for arm in range(4):
+            policy.observe(Observation(arm, 0.0, 1, False))
+        assert policy.stable_for(4) == 496  # every mean 0: arm 0 for good
+
+    def test_bound_is_cached_until_the_next_observation(self):
+        policy = HighestRewardPolicy(0, make_env(num_arms=2, horizon=10_000))
+        policy.observe(Observation(0, 1.0, 1, False))
+        policy.observe(Observation(1, 2.0, 2, True))
+        n = policy.stable_for(2)
+        assert policy.stable_for(5) == n - 3
+        policy.observe(Observation(1, 2.0, 2, True))
+        assert policy.stable_for(6) > n - 4
+
+    def test_block_equals_sequential_observations(self):
+        rng = np.random.default_rng(5)
+        for block in random_states(12, 200):
+            step = HighestRewardPolicy(0, make_env(num_arms=block.num_arms))
+            step._sums, step._pulls, step._means, step._best = copy_state(block)
+            arm = block._best if rng.random() < 0.7 else int(rng.integers(block.num_arms))
+            n = int(rng.integers(1, 300))
+            hits = int(rng.integers(0, n + 1))
+            factor = float(rng.integers(1, 4))
+            hit = Observation(arm, factor, int(factor), factor > 1)
+            miss = Observation(arm, 0.0, int(factor), factor > 1)
+            for paid in rng.permutation([True] * hits + [False] * (n - hits)):
+                step.observe(hit if paid else miss)
+            block.observe_block(hit, hits, n)
+            assert copy_state(block) == copy_state(step)
+
+
 class TestIdlestArm:
     def test_single_player_stays_after_warmup(self):
         spec = make_spec(num_players=1, capacities=(1, 1, 1, 1),

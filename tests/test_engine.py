@@ -14,6 +14,7 @@ from shareable_bandits.engine import (
     step,
 )
 from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for
+from shareable_bandits.protocol import ProtocolCorruptionError
 from shareable_bandits.scenarios import ALGORITHMS
 
 
@@ -199,6 +200,10 @@ class TestRun:
                     seen[id(obs)] = obs
                     super().observe(obs)
 
+                def observe_block(self, obs, hits, n):
+                    seen[id(obs)] = obs
+                    super().observe_block(obs, hits, n)
+
             spec = make_spec(horizon=horizon)
             run(Recording, spec)
             distinct[horizon] = len(seen)
@@ -225,6 +230,40 @@ class TestRun:
             match=r"arm index 7 out of range \[0, 4\) at slot 0, player 2 in phase 'exploit'",
         ):
             run(lambda i, env: FixedArmPolicy(i, env, 7 if i == 2 else 0), spec)
+
+    @pytest.mark.parametrize(
+        "blocks, where", [(False, "slot 7"), (True, "slots 5-9")], ids=["stepped", "block"]
+    )
+    def test_policy_error_names_slot_player_and_phase(self, blocks, where):
+        class Failing:
+            """Player 2 raises on the outcome of slot 7; blocks are slots 5k to 5k + 4."""
+
+            def __init__(self, player_id, env):
+                self.player_id = player_id
+                self.phase = "listen"
+                self._t = 0
+
+            def next_action(self, t):
+                self._t = t
+                return self.player_id
+
+            def observe(self, obs):
+                if self.player_id == 2 and self._t == 7:
+                    raise ProtocolCorruptionError("lost sync")
+
+        class FailingInBlocks(Failing):
+            def stable_for(self, t):
+                return 5 - t % 5
+
+            def observe_block(self, obs, hits, n):
+                if self.player_id == 2 and self._t <= 7 < self._t + n:
+                    raise ProtocolCorruptionError("lost sync")
+
+        with pytest.raises(
+            ProtocolCorruptionError,
+            match=rf"^lost sync at {where}, player 2 in phase 'listen'$",
+        ):
+            run(FailingInBlocks if blocks else Failing, make_spec(horizon=20))
 
     def test_phase_events_recorded(self):
         spec = make_spec(horizon=10)
@@ -333,28 +372,71 @@ NAIVE_CASES = [
 ]
 
 
+def assert_run_equals_naive_loop(factory, spec):
+    """``run`` and ``oracles.naive_run`` give the same trace, field for field."""
+    opt = optimal_profile_for(spec)
+    checkpoints = [1, min(100, spec.horizon), spec.horizon // 2, spec.horizon]
+    trace = run(factory, spec, checkpoints=checkpoints)
+
+    def make_env(rng):
+        return PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng)
+
+    want = naive_run(
+        factory, make_env, spec, spec.feedback is Feedback.SDI,
+        opt.value, opt.profile.counts, checkpoints,
+    )
+    for field, value in want.items():
+        if field == "optimal_mask":
+            assert np.array_equal(trace.optimal_mask, value)
+        else:
+            assert getattr(trace, field) == value, field
+
+
+# Highest-reward runs that are mostly blocks: (spec overrides, engine._CHUNK).
+# The first is shaped like edge-computing (K = 7, M = 6). In the second only
+# arm 1 ever pays, so after warm-up every player's block is unbounded. The
+# third draws 7 slots per chunk, so its blocks straddle chunk refills.
+BLOCK_CASES = {
+    "edge-like": (
+        dict(
+            num_arms=7, num_players=6,
+            means=(0.5, 0.7, 0.4, 0.8333333333, 0.6666666667, 0.4333333333, 0.8666666667),
+            capacities=(3, 2, 4, 2, 1, 2, 3), horizon=20_000, seed=5,
+        ),
+        engine._CHUNK,
+    ),
+    "one-paying-arm": (dict(means=(0.0, 0.6, 0.0, 0.0), horizon=3000), engine._CHUNK),
+    "chunk-7": (dict(horizon=3000), 7),
+}
+
+
 class TestNaiveLoop:
     @pytest.mark.parametrize("algorithm, overrides", NAIVE_CASES)
     def test_run_equals_naive_loop(self, algorithm, overrides):
         cls, forced = ALGORITHMS[algorithm]
         spec = make_spec(**overrides)
         spec = dataclasses.replace(spec, feedback=forced or spec.feedback)
-        opt = optimal_profile_for(spec)
-        checkpoints = [1, 100, spec.horizon // 2, spec.horizon]
-        trace = run(cls, spec, checkpoints=checkpoints)
+        assert_run_equals_naive_loop(cls, spec)
 
-        def make_env(rng):
-            return PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng)
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_highest_reward_blocks_equal_naive_loop(self, monkeypatch, case):
+        overrides, chunk = BLOCK_CASES[case]
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        blocks = []
 
-        want = naive_run(
-            cls, make_env, spec, spec.feedback is Feedback.SDI,
-            opt.value, opt.profile.counts, checkpoints,
-        )
-        for field, value in want.items():
-            if field == "optimal_mask":
-                assert np.array_equal(trace.optimal_mask, value)
-            else:
-                assert getattr(trace, field) == value, field
+        class Counted(ALGORITHMS["highest-reward"][0]):
+            def observe_block(self, obs, hits, n):
+                blocks.append(n)
+                super().observe_block(obs, hits, n)
+
+        spec = make_spec(**overrides)
+        assert_run_equals_naive_loop(Counted, spec)
+        assert sum(blocks) > spec.horizon * spec.num_players // 2
+        if case == "one-paying-arm":  # one-slot warm-up blocks, then one to the end
+            long = [spec.horizon - spec.num_arms] * spec.num_players
+            assert blocks == [1] * len(blocks[: -spec.num_players]) + long
+        if case == "chunk-7":
+            assert max(blocks) > 2 * chunk
 
     def test_full_memo_starts_over(self, monkeypatch):
         monkeypatch.setattr(engine, "_MAX_PLANS", 8)
@@ -397,6 +479,71 @@ class TestNaiveLoop:
         assert max(slots) < spec.horizon // 2
 
 
+class BlockPolicy:
+    """Plays ``arm`` in blocks of slots ``length``·k to ``length``·k + length - 1.
+
+    ``calls`` collects (player, method, slot) for every engine call, and
+    ``blocks`` the (first slot, n) of every block outcome.
+    """
+
+    def __init__(self, player_id, arm, length, calls):
+        self.player_id = player_id
+        self.arm = arm
+        self.length = length
+        self.calls = calls
+        self.blocks = []
+        self._t = -1
+
+    def next_action(self, t):
+        self._t = t
+        self.calls.append((self.player_id, "next_action", t))
+        return self.arm
+
+    def observe(self, obs):
+        self.calls.append((self.player_id, "observe", self._t))
+
+    def stable_for(self, t):
+        return self.length - t % self.length
+
+    def observe_block(self, obs, hits, n):
+        self.calls.append((self.player_id, "observe_block", self._t))
+        self.blocks.append((self._t, n))
+
+
+class TestMixedBlocks:
+    """Block players with committing players: blocks start once all have committed."""
+
+    # Players 0 and 2 play arm 3 and commit to arm 0 in slots 9 and 5;
+    # player 1 plays arm 1 in blocks of four slots.
+    def factory(self, calls):
+        def make(i, env):
+            if i == 1:
+                return BlockPolicy(i, 1, 4, calls)
+            return CommittingPolicy(i, 3, 9 if i == 0 else 5, 0, calls)
+
+        return make
+
+    def test_committed_players_are_not_called_in_blocks(self):
+        calls, probed, grabbed = [], [], []
+
+        def probe(t, policies, counts):
+            probed.append(t)
+            grabbed[:] = policies
+
+        run(self.factory(calls), make_spec(horizon=50), probe=probe)
+        assert probed == list(range(50))
+        for i in (0, 2):
+            assert max(t for p, _, t in calls if p == i) == 9
+        # Stepped until every committing player has committed, then blocks
+        # 10-11, 12-15, ..., 44-47 and 48-49.
+        assert [t for p, m, t in calls if m == "observe" and p == 1] == list(range(10))
+        blocks = [(10, 2), *((t, 4) for t in range(12, 48, 4)), (48, 2)]
+        assert grabbed[1].blocks == blocks
+
+    def test_trace_equals_naive_loop(self):
+        assert_run_equals_naive_loop(self.factory([]), make_spec(horizon=50))
+
+
 class TestIsolation:
     def test_public_env_info_excludes_ground_truth(self):
         names = {f.name for f in dataclasses.fields(PublicEnvInfo)}
@@ -419,3 +566,24 @@ class TestIsolation:
                 assert obs.arm == obs.arm  # own arm only: index in range
                 assert 0 <= obs.arm < spec.num_arms
                 assert 0.0 <= obs.reward <= spec.num_players
+
+    def test_block_outcomes_carry_only_the_players_own_arm(self):
+        outcomes = []
+
+        class Recording(ALGORITHMS["highest-reward"][0]):
+            def next_action(self, t):
+                self.arm = super().next_action(t)
+                return self.arm
+
+            def observe_block(self, obs, hits, n):
+                outcomes.append((self.arm, obs, hits, n))
+                super().observe_block(obs, hits, n)
+
+        spec = make_spec(horizon=3000)
+        run(Recording, spec)
+        assert outcomes
+        for arm, obs, hits, n in outcomes:
+            assert type(obs) is Observation
+            assert obs.arm == arm
+            assert 0 <= hits <= n
+            assert 0.0 < obs.reward <= spec.num_players

@@ -11,7 +11,6 @@ from .engine import (
     PublicEnvInfo,
     RunTrace,
     run,
-    step,
 )
 from .model import (
     AssignmentProfile,
@@ -22,7 +21,6 @@ from .model import (
     expected_reward,
     optimal_profile_for,
     oracle,
-    per_slot_regret,
 )
 from .protocol import ProtocolCorruptionError
 from .dpe import DpeSdiPolicy, UnsupportedFeedbackError
@@ -58,9 +56,7 @@ __all__ = [
     "load_scenario",
     "optimal_profile_for",
     "oracle",
-    "per_slot_regret",
     "preset_scenarios",
     "run",
     "run_experiment",
-    "step",
 ]

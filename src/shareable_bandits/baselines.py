@@ -32,15 +32,6 @@ class HighestRewardPolicy:
         self._pulls = [0] * env.num_arms
         self._means = [0.0] * env.num_arms
         self._best = 0
-        self._stable_until: int | None = None  # absolute slot; None after observing
-
-    def _rescan(self) -> None:
-        means = self._means
-        best = 0
-        for k in range(1, self.num_arms):
-            if means[k] > means[best]:
-                best = k
-        self._best = best
 
     def next_action(self, t: int) -> int:
         if t < self.num_arms:
@@ -51,20 +42,16 @@ class HighestRewardPolicy:
         """n >= 1; when n > 1, any j <= n unpaid pulls of the argmax keep it."""
         if t < self.num_arms:
             return 1
-        if self._stable_until is None:
-            b = self._best
-            rest = max(self._means[:b] + self._means[b + 1 :], default=0.0)
-            if rest > 0:
-                # S_b / (N_b + n) > rest holds for n < S_b / rest - N_b. One
-                # slot less keeps it strict, since ties go to the lower index;
-                # one more keeps it strict after rounding in the division.
-                n = int(self._sums[b] / rest) - self._pulls[b] - 2
-            else:
-                # No other arm has paid: b keeps the strictly highest mean,
-                # or b is arm 0 and every mean is 0, for the rest of the run.
-                n = self.horizon - t
-            self._stable_until = t + max(n, 1)
-        return self._stable_until - t
+        b = self._best
+        rest = max(self._means[:b] + self._means[b + 1 :], default=0.0)
+        if rest > 0:
+            # S_b / (N_b + n) > rest holds for n < S_b / rest - N_b. One
+            # slot less keeps it strict, since ties go to the lower index;
+            # one more keeps it strict after rounding in the division.
+            return max(int(self._sums[b] / rest) - self._pulls[b] - 2, 1)
+        # No other arm has paid: b keeps the strictly highest mean, or b is
+        # arm 0 and every mean is 0, for the rest of the run.
+        return self.horizon - t
 
     def observe(self, obs: Observation) -> None:
         self._add(obs.arm, obs.reward, 1)
@@ -74,20 +61,11 @@ class HighestRewardPolicy:
         self._add(obs.arm, obs.reward * hits, n)
 
     def _add(self, k: int, reward: float, pulls: int) -> None:
-        self._stable_until = None
         self._pulls[k] += pulls
         self._sums[k] += reward
-        old = self._means[k]
-        mean = self._sums[k] / self._pulls[k]
-        self._means[k] = mean
-        # Full argmax rescans only when the leader arm's mean drops.
-        if k == self._best:
-            if mean < old:
-                self._rescan()
-        elif mean > self._means[self._best] or (
-            mean == self._means[self._best] and k < self._best
-        ):
-            self._best = k
+        self._means[k] = self._sums[k] / self._pulls[k]
+        # index() finds the first of equal means: ties go to the lower index.
+        self._best = self._means.index(max(self._means))
 
 
 class IdlestArmPolicy:

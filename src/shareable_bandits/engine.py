@@ -1,10 +1,10 @@
 """Synchronous lockstep simulator.
 
-Each slot the engine polls every player for an arm, draws one Bernoulli
-per-load reward per arm (shared by all players on that arm), and hands each
-player only its own observation. Players never see anything else: the
-observation carries the arm's total reward plus either the sharing count
-(SDI) or a 1-bit shared flag (SDA).
+``run`` is the one driver. Each slot it polls every player for an arm,
+draws one Bernoulli per-load reward per arm (shared by all players on that
+arm), and hands each player only its own observation. Players never see
+anything else: the observation carries the arm's total reward plus either
+the sharing count (SDI) or a 1-bit shared flag (SDA).
 
 Three things keep ``run`` cheap without changing a single output value:
 
@@ -203,24 +203,6 @@ def _raised_by(tb, policies: Sequence[Policy]) -> tuple[int, str] | None:
     return None
 
 
-def step(
-    actions: Sequence[int], spec: EnvSpec, rng: np.random.Generator
-) -> list[Observation]:
-    """Advance one slot: draw per-arm rewards and build each player's view.
-
-    Consumes exactly one uniform per arm from ``rng`` regardless of the
-    actions, so arm draws are independent of player behaviour.
-    """
-    if len(actions) != spec.num_players:
-        raise ValueError(
-            f"expected {spec.num_players} actions, got {len(actions)}"
-        )
-    row = (rng.random(spec.num_arms) < np.asarray(spec.means)).tobytes()
-    sdi = spec.feedback is Feedback.SDI
-    players = _plan(actions, spec.capacities, sdi, {})[1]
-    return [hit if row[a] else miss for a, (miss, hit) in zip(actions, players)]
-
-
 def run(
     policy_factory: PolicyFactory,
     spec: EnvSpec,
@@ -233,6 +215,10 @@ def run(
     Deterministic for a fixed spec: the environment and every player draw
     from generators derived from ``spec.seed``. Cumulative pseudo-regret
     (expected-value gap to the optimum) is sampled at ``checkpoints``.
+
+    An error raised in a player's method, and the ``InvalidActionError`` of
+    an arm outside [0, K), propagates with the slot (a block's slots for
+    ``observe_block``), the player and its phase appended to its message.
     """
     opt: OptimalProfile = optimal_profile_for(spec)
     fstar = opt.value
@@ -274,15 +260,8 @@ def run(
     plans: dict[tuple[int, ...], tuple] = {}
     entries: dict[tuple[int, int], _Entry] = {}
 
-    def plan_for(arms: list[int], t: int) -> tuple:
-        try:
-            counts, players = _plan(arms, caps, sdi, entries)
-        except InvalidActionError as exc:
-            i = next(i for i, a in enumerate(arms) if not 0 <= a < K)
-            phase = getattr(policies[i], "phase", None)
-            raise InvalidActionError(
-                f"{exc} at slot {t}, player {i} in phase {phase!r}"
-            ) from None
+    def plan_for(arms: list[int]) -> tuple:
+        counts, players = _plan(arms, caps, sdi, entries)
         f_t = 0.0
         for a, c in counts.items():
             f_t += (c if c <= caps[a] else caps[a]) * means[a]
@@ -320,7 +299,7 @@ def run(
                 offset += K
 
                 arms = [next_action(t) for next_action in next_actions]
-                players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms, t)
+                players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms)
                 for observe, a, (miss, hit) in zip(observers, arms, players):
                     observe(hit if row[a] else miss)
             else:
@@ -332,7 +311,7 @@ def run(
                 for i in live:
                     n = min(n, stable_fors[i](t))
                     arms[i] = next_actions[i](t)
-                players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms, t)
+                players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms)
                 last = t + n - 1
                 if live:
                     # Hits per occupied arm, counted in each chunk the block
@@ -380,9 +359,14 @@ def run(
             t += 1
     except Exception as exc:
         raised = _raised_by(exc.__traceback__, policies)
-        if raised is None:
+        if raised is not None:
+            i, method = raised
+        elif isinstance(exc, InvalidActionError):
+            # _plan rejected the slot's profile: name the first player off it.
+            i = next(i for i, a in enumerate(arms) if not 0 <= a < K)
+            method = "next_action"
+        else:
             raise
-        i, method = raised
         where = f"slots {t}-{t + n - 1}" if method == "observe_block" else f"slot {t}"
         phase = getattr(policies[i], "phase", None)
         exc.args = (f"{exc} at {where}, player {i} in phase {phase!r}",)

@@ -34,15 +34,9 @@ class RunResult:
 
 @dataclass(frozen=True)
 class AggregateResult:
-    """Per (algorithm, checkpoint) regret mean and population std."""
+    """Per (algorithm, checkpoint): regret mean, population std and run count."""
 
     cells: dict[tuple[str, int], tuple[float, float, int]]
-
-    def mean(self, algorithm: str, checkpoint: int) -> float:
-        return self.cells[algorithm, checkpoint][0]
-
-    def std(self, algorithm: str, checkpoint: int) -> float:
-        return self.cells[algorithm, checkpoint][1]
 
 
 def policy_factory(algorithm: str, delta: float | None):

@@ -1,4 +1,4 @@
-"""Ground-truth environment model: specs, assignment profiles, and regret.
+"""Ground-truth environment model: specs, assignment profiles, the optimum.
 
 Arms are indexed 0..K-1 throughout. An assignment profile counts how many
 players sit on each arm in one slot; the optimal profile fills arms in
@@ -139,21 +139,6 @@ def oracle(
     profile = AssignmentProfile(tuple(counts))
     value = expected_reward(counts, means, capacities)
     return OptimalProfile(profile=profile, least_favored=least, value=value)
-
-
-def per_slot_regret(
-    counts: Sequence[int],
-    opt: OptimalProfile,
-    means: Sequence[float],
-    capacities: Sequence[int],
-) -> float:
-    """Expected one-slot gap to the optimum; tiny negatives are float noise."""
-    gap = opt.value - expected_reward(counts, means, capacities)
-    if gap < 0.0:
-        if gap < -1e-12:
-            raise ValueError(f"profile beats the supposed optimum by {-gap}")
-        gap = 0.0
-    return gap
 
 
 def optimal_profile_for(spec: EnvSpec) -> OptimalProfile:

@@ -6,6 +6,7 @@ tolerance. Heavy simulation batches are shared across criteria via
 module-scoped fixtures.
 """
 
+import functools
 import math
 import statistics
 import time
@@ -15,7 +16,7 @@ import pytest
 
 from shareable_bandits.baselines import HighestRewardPolicy, IdlestArmPolicy
 from shareable_bandits.dpe import DpeSdiPolicy
-from shareable_bandits.engine import Observation, PublicEnvInfo, run, step
+from shareable_bandits.engine import Observation, PublicEnvInfo, run
 from shareable_bandits.harness import run_one
 from shareable_bandits.model import EnvSpec, Feedback, oracle
 from shareable_bandits.protocol import (
@@ -259,6 +260,21 @@ def _extreme_broadcast_cases():
                LeaderDecision(accepted={1}, least_favored=2))
 
 
+class _BitUpload:
+    """Player 1 sends ``bits`` to player 0, which listens on arm 0 and keeps
+    its shared flags in ``heard``; player 1 joins arm 0 for a 1 bit."""
+
+    def __init__(self, bits, heard, player_id, env):
+        self.bits, self.heard, self.listener = bits, heard, player_id == 0
+
+    def next_action(self, t):
+        return 0 if self.listener or self.bits[t] else 1
+
+    def observe(self, obs):
+        if self.listener:
+            self.heard.append(1 if obs.shared else 0)
+
+
 def test_criterion_4_protocol_losslessness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(104)
@@ -282,8 +298,7 @@ def test_criterion_4_protocol_losslessness():
             and all(v == new and as_dict(v) == ref_state for v in views)
         )
 
-    # (b) follower-to-leader bit upload, through the engine (SDA feedback)
-    spec = EnvSpec(3, 2, (0.5, 0.5, 0.5), (1, 1, 1), 10, feedback=Feedback.SDA)
+    # (b) follower-to-leader bit upload, one engine run per case (SDA feedback)
     env_rng = np.random.default_rng(9)
     upload_fail = 0
     cases = []
@@ -295,12 +310,10 @@ def test_criterion_4_protocol_losslessness():
         nbits = upload_bits(p, m_players)
         cases.append((nbits, int(rng.integers(0, (m_players << p) + 1))))
     for nbits, value in cases:
-        bits = encode_stat(value, nbits)
+        spec = EnvSpec(3, 2, (0.5, 0.5, 0.5), (1, 1, 1), nbits, feedback=Feedback.SDA,
+                       seed=int(env_rng.integers(2**63)))
         flags = []
-        for b in bits:
-            obs = step([0, 0 if b else 1], spec,
-                       np.random.Generator(np.random.PCG64(env_rng.integers(2**63))))
-            flags.append(1 if obs[0].shared else 0)
+        run(functools.partial(_BitUpload, encode_stat(value, nbits), flags), spec)
         upload_fail += decode_bits(flags) != value
     num_upload_cases = len(cases)
 

@@ -162,14 +162,24 @@ class TestHighestRewardBlocks:
             policy.observe(Observation(arm, 0.0, 1, False))
         assert policy.stable_for(4) == 496  # every mean 0: arm 0 for good
 
-    def test_bound_is_cached_until_the_next_observation(self):
-        policy = HighestRewardPolicy(0, make_env(num_arms=2, horizon=10_000))
-        policy.observe(Observation(0, 1.0, 1, False))
-        policy.observe(Observation(1, 2.0, 2, True))
-        n = policy.stable_for(2)
-        assert policy.stable_for(5) == n - 3
-        policy.observe(Observation(1, 2.0, 2, True))
-        assert policy.stable_for(6) > n - 4
+    def test_repeated_calls_without_observing_agree(self):
+        """Asked again without an observation, even past its bound, it answers n >= 1.
+
+        A bounded answer depends on the state alone, so it repeats; an
+        unbounded one runs from the slot asked to the horizon.
+        """
+        cases = {"bounded": 0, "unbounded": 0}
+        for policy in random_states(13, 200):
+            b, start, horizon = policy._best, policy.num_arms, policy.horizon
+            rest = max(policy._means[:b] + policy._means[b + 1 :])
+            first = policy.stable_for(start)
+            for t in (start, start + 1, start + first, start + 3 * first + 7, horizon - 1):
+                t = min(t, horizon - 1)
+                n = policy.stable_for(t)
+                assert n >= 1
+                assert n == (first if rest > 0 else horizon - t), (t, n, first)
+            cases["bounded" if rest > 0 else "unbounded"] += 1
+        assert min(cases.values()) >= 10, cases
 
     def test_block_equals_sequential_observations(self):
         rng = np.random.default_rng(5)

@@ -11,7 +11,6 @@ from shareable_bandits.engine import (
     Observation,
     PublicEnvInfo,
     run,
-    step,
 )
 from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for
 from shareable_bandits.protocol import ProtocolCorruptionError
@@ -32,53 +31,6 @@ def make_spec(**kw):
     return EnvSpec(**base)
 
 
-def fresh_rng(seed=0):
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-class TestStep:
-    def test_shared_arm_same_reward_and_feedback(self):
-        spec = make_spec(means=(1.0, 0.5, 0.5, 0.5), capacities=(1, 1, 1, 1))
-        obs = step([0, 0, 1], spec, fresh_rng())
-        assert obs[0].reward == obs[1].reward == 1.0  # min(2,1)*1
-        assert obs[0].count == 2 and obs[0].shared
-        assert obs[2].count == 1 and not obs[2].shared
-
-    def test_lone_player_zero_draw(self):
-        spec = make_spec(means=(0.0, 0.5, 0.5, 0.5))
-        obs = step([0, 1, 2], spec, fresh_rng())
-        assert obs[0].reward == 0.0
-        assert obs[0].count == 1
-        assert not obs[0].shared
-
-    def test_reward_capped_by_count_not_capacity(self):
-        # three players on an arm with spare capacity: factor is the count
-        spec = make_spec(
-            num_arms=4, num_players=3, means=(1.0, 0.1, 0.1, 0.1),
-            capacities=(3, 1, 1, 1),
-        )
-        obs = step([0, 0, 0], spec, fresh_rng())
-        assert obs[0].reward == 3.0
-
-    def test_sda_hides_count(self):
-        spec = make_spec(feedback=Feedback.SDA)
-        obs = step([0, 0, 1], spec, fresh_rng())
-        assert obs[0].count is None
-        assert obs[0].shared
-        assert obs[2].count is None
-        assert not obs[2].shared
-
-    def test_out_of_range_action(self):
-        spec = make_spec()
-        with pytest.raises(InvalidActionError):
-            step([0, 1, 99], spec, fresh_rng())
-
-    def test_wrong_action_count(self):
-        spec = make_spec()
-        with pytest.raises(ValueError):
-            step([0, 1], spec, fresh_rng())
-
-
 class RecordingPolicy:
     """Plays a scripted arm sequence and keeps everything it is shown."""
 
@@ -93,6 +45,61 @@ class RecordingPolicy:
 
     def observe(self, obs):
         self.seen.append(obs)
+
+
+def recording_factory(scripts, made):
+    """Builds player i as a ``RecordingPolicy`` on ``scripts[i]`` and keeps it in ``made``."""
+
+    def factory(i, env):
+        made.append(RecordingPolicy(i, env, scripts[i]))
+        return made[-1]
+
+    return factory
+
+
+def first_slot(spec, arms):
+    """What each player observes in slot 0 of a run where player i plays ``arms[i]``."""
+    made = []
+    run(recording_factory([[a] for a in arms], made), dataclasses.replace(spec, horizon=1))
+    return [p.seen[0] for p in made]
+
+
+class TestStep:
+    def test_shared_arm_same_reward_and_feedback(self):
+        spec = make_spec(means=(1.0, 0.5, 0.5, 0.5), capacities=(1, 1, 1, 1))
+        obs = first_slot(spec, [0, 0, 1])
+        assert obs[0].reward == obs[1].reward == 1.0  # min(2,1)*1
+        assert obs[0].count == 2 and obs[0].shared
+        assert obs[2].count == 1 and not obs[2].shared
+
+    def test_lone_player_zero_draw(self):
+        spec = make_spec(means=(0.0, 0.5, 0.5, 0.5))
+        obs = first_slot(spec, [0, 1, 2])
+        assert obs[0].reward == 0.0
+        assert obs[0].count == 1
+        assert not obs[0].shared
+
+    def test_reward_capped_by_count_not_capacity(self):
+        # three players on an arm with spare capacity: factor is the count
+        spec = make_spec(
+            num_arms=4, num_players=3, means=(1.0, 0.1, 0.1, 0.1),
+            capacities=(3, 1, 1, 1),
+        )
+        obs = first_slot(spec, [0, 0, 0])
+        assert obs[0].reward == 3.0
+
+    def test_sda_hides_count(self):
+        spec = make_spec(feedback=Feedback.SDA)
+        obs = first_slot(spec, [0, 0, 1])
+        assert obs[0].count is None
+        assert obs[0].shared
+        assert obs[2].count is None
+        assert not obs[2].shared
+
+    def test_out_of_range_action(self):
+        spec = make_spec()
+        with pytest.raises(InvalidActionError):
+            first_slot(spec, [0, 1, 99])
 
 
 class TestRun:
@@ -127,30 +134,22 @@ class TestRun:
         assert (t1.optimal_mask == t2.optimal_mask).all()
 
     def test_run_matches_repeated_step(self):
-        """The run loop consumes the same env draw stream as step-by-step."""
+        """Every player observes what ``oracles.naive_run`` shows it, slot by slot."""
         spec = make_spec(horizon=64)
         script = [0, 1, 2, 3, 2, 1]
-
-        def factory(i, env):
-            return RecordingPolicy(i, env, script[i::3] or [0])
-
-        trace_policies = []
-
-        def grab(t, policies, counts):
-            if t == 0:
-                trace_policies.extend(policies)
-
-        run(factory, spec, probe=grab)
-
-        children = np.random.SeedSequence(spec.seed).spawn(spec.num_players + 1)
-        rng = np.random.Generator(np.random.PCG64(children[0]))
-        replay = [RecordingPolicy(i, None, script[i::3] or [0]) for i in range(3)]
-        for t in range(spec.horizon):
-            actions = [p.next_action(t) for p in replay]
-            for p, obs in zip(replay, step(actions, spec, rng)):
-                p.observe(obs)
-        for engine_policy, manual in zip(trace_policies, replay):
-            assert engine_policy.seen == manual.seen
+        scripts = [script[i::3] for i in range(3)]
+        ran, stepped = [], []
+        run(recording_factory(scripts, ran), spec)
+        opt = optimal_profile_for(spec)
+        naive_run(
+            recording_factory(scripts, stepped), lambda rng: None, spec, True,
+            opt.value, opt.profile.counts, [],
+        )
+        for engine_policy, manual in zip(ran, stepped, strict=True):
+            assert len(engine_policy.seen) == spec.horizon
+            assert [dataclasses.astuple(o) for o in engine_policy.seen] == [
+                dataclasses.astuple(o) for o in manual.seen
+            ]
 
     def test_sda_flag_equals_sdi_count_rule(self):
         base = dict(horizon=120)
@@ -184,7 +183,7 @@ class TestRun:
         assert all(x is y is z for x, y, z in zip(a.seen, b.seen, c.seen))
 
     def test_observation_is_immutable(self):
-        obs = step([0, 0, 1], make_spec(), fresh_rng())[0]
+        obs = first_slot(make_spec(), [0, 0, 1])[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             obs.reward = 0.0
 
@@ -230,6 +229,33 @@ class TestRun:
             match=r"arm index 7 out of range \[0, 4\) at slot 0, player 2 in phase 'exploit'",
         ):
             run(lambda i, env: FixedArmPolicy(i, env, 7 if i == 2 else 0), spec)
+
+    def test_aborts_on_out_of_range_block_policy(self):
+        class Stray:
+            """States blocks of four slots; player 1 strays in the block at slot 8."""
+
+            phase = "exploit"
+
+            def __init__(self, player_id, env):
+                self.player_id = player_id
+
+            def next_action(self, t):
+                return 7 if self.player_id == 1 and t >= 8 else self.player_id
+
+            def observe(self, obs):
+                pass
+
+            def stable_for(self, t):
+                return 4 - t % 4
+
+            def observe_block(self, obs, hits, n):
+                pass
+
+        with pytest.raises(
+            InvalidActionError,
+            match=r"^arm index 7 out of range \[0, 4\) at slot 8, player 1 in phase 'exploit'",
+        ):
+            run(Stray, make_spec(horizon=20))
 
     @pytest.mark.parametrize(
         "blocks, where", [(False, "slot 7"), (True, "slots 5-9")], ids=["stepped", "block"]

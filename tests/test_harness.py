@@ -179,8 +179,9 @@ class TestRunExperiment:
                 vals = [r.checkpoint_regret[i] for r in results if r.algorithm == alg]
                 mean = sum(vals) / len(vals)
                 var = sum((v - mean) ** 2 for v in vals) / len(vals)
-                assert agg.mean(alg, cp) == pytest.approx(mean)
-                assert agg.std(alg, cp) == pytest.approx(math.sqrt(var))
+                assert agg.cells[alg, cp] == (
+                    pytest.approx(mean), pytest.approx(math.sqrt(var)), len(vals)
+                )
 
     def test_parallel_equals_serial(self):
         sc = tiny_scenario()

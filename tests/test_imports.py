@@ -1,12 +1,17 @@
 """Every module under src/ and tests/ uses each name it imports, and every
-function and class under src/ is referenced somewhere.
+function and class under src/ is named by the program.
 
 The project has no linter, so these stdlib ``ast`` checks stand in for the
 unused-import rule and for a dead-code check. A name counts as used when the
 module reads it anywhere or lists it in ``__all__`` (the package's
-re-exports). A definition counts as referenced when any module under src/,
-tests/ or perfbench/ names it: read as a name or an attribute, imported, or
-listed in ``__all__``.
+re-exports). A definition counts as named when a module reads it as a name
+or an attribute, imports it and reads it, or holds it as a string constant,
+as ``getattr(policy, "stable_for", None)`` does. Two checks use that:
+
+- every definition is named or re-exported (imported, or listed in
+  ``__all__``) by some module under src/, tests/ or perfbench/;
+- every definition is named by src/ or perfbench/ themselves, re-exports
+  not counted, so no library code is left that only tests call.
 """
 
 import ast
@@ -17,47 +22,73 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")])
 LIBRARY = sorted(ROOT.glob("src/**/*.py"))
-USERS = sorted({*MODULES, *ROOT.glob("perfbench/**/*.py")})
+PROGRAM = sorted([*LIBRARY, *ROOT.glob("perfbench/**/*.py")])
+USERS = sorted({*MODULES, *PROGRAM})
+
+# Library definitions that only tests name, each kept for a reason:
+# rotation_arm is the closed form that test_rotation_table_matches_rotation_arm
+# checks DpeSdiPolicy's precomputed rotation table against.
+TEST_ONLY = ["rotation_arm"]
 
 
-def scan(source: str) -> tuple[set[str], set[str], set[str], set[str]]:
-    """One walk over a module: (imported, used, referenced, defined).
+def scan(source: str) -> tuple[set[str], ...]:
+    """One walk over a module: (imported, used, named, exported, defined).
 
-    ``used`` holds the names read and the ``__all__`` strings; ``referenced``
-    adds attribute names and the original names of ``from`` imports;
-    ``defined`` holds function and class names other than dunders.
+    ``used`` holds the names read and the ``__all__`` strings. ``named``
+    holds the names read, attribute names, the string constants outside
+    ``__all__`` and the original names of ``from`` imports whose local name
+    is read. ``exported`` holds the ``__all__`` strings and the original
+    names of every ``from`` import, re-exports included. ``defined`` holds
+    function and class names other than dunders.
     """
-    imported, used, referenced, defined = set(), set(), set(), set()
+    imported, read, listed, named, defined = set(), set(), set(), set(), set()
+    aliases = []  # (local name, original name) of every ``from`` import
+    in_all: set[int] = set()  # ids of the nodes under the __all__ value
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported |= {a.asname or a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
-            referenced |= {a.name for a in node.names}
+            aliases += [(a.asname or a.name, a.name) for a in node.names]
         elif isinstance(node, ast.Name):
-            used.add(node.id)
+            read.add(node.id)
         elif isinstance(node, ast.Attribute):
-            referenced.add(node.attr)
+            named.add(node.attr)
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used |= set(ast.literal_eval(node.value))
+            listed |= set(ast.literal_eval(node.value))
+            in_all |= {id(n) for n in ast.walk(node.value)}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in in_all:
+                named.add(node.value)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not (node.name.startswith("__") and node.name.endswith("__")):
                 defined.add(node.name)
-    return imported, used, referenced | used, defined
+    named |= read | {name for local, name in aliases if local in read}
+    exported = listed | {name for _, name in aliases}
+    return imported, read | listed, named, exported, defined
 
 
 def unused_imports(source: str) -> list[str]:
-    imported, used, _, _ = scan(source)
+    imported, used, *_ = scan(source)
     return sorted(imported - used)
 
 
-def dead_definitions(library: list[str], users: list[str]) -> list[str]:
-    """Functions and classes defined in ``library`` that no ``users`` source names."""
-    defined = set().union(*(scan(source)[3] for source in library))
-    referenced = set().union(*(scan(source)[2] for source in users))
-    return sorted(defined - referenced)
+def dead_definitions(
+    library: list[str], users: list[str], exports: bool = True
+) -> list[str]:
+    """Functions and classes defined in ``library`` that no ``users`` source names.
+
+    With ``exports`` set, ``__all__`` entries and re-exporting imports name
+    a definition too.
+    """
+    defined = set().union(*(scan(source)[4] for source in library))
+    named = set()
+    for source in users:
+        _, _, names, exported, _ = scan(source)
+        named |= (names | exported) if exports else names
+    return sorted(defined - named)
 
 
 def test_checker_finds_an_unused_import():
@@ -80,6 +111,26 @@ def test_checker_finds_a_dead_definition():
     assert dead_definitions([library], [library, user]) == ["never", "unused"]
 
 
+def test_checker_finds_a_test_only_definition():
+    library = (
+        "def called():\n    pass\n"
+        "def exported():\n    pass\n"
+        "def looked_up():\n    pass\n"
+        "def reexported():\n    pass\n"
+        "def tested():\n    pass\n"
+        "__all__ = ['called', 'exported', 'looked_up', 'reexported', 'tested']\n"
+        "called()\n"
+        "getattr(object, 'looked_up', None)\n"
+    )
+    package = "from lib import reexported\n__all__ = ['reexported']\n"
+    tests = "from lib import tested\ntested()\n"
+    users = [library, package]
+    assert dead_definitions([library], [*users, tests]) == []
+    assert dead_definitions([library], users, exports=False) == [
+        "exported", "reexported", "tested"
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -89,3 +140,9 @@ def test_no_dead_definitions():
     read = [p.read_text(encoding="utf-8") for p in USERS]
     library = [p.read_text(encoding="utf-8") for p in LIBRARY]
     assert dead_definitions(library, read) == []
+
+
+def test_no_test_only_definitions():
+    program = [p.read_text(encoding="utf-8") for p in PROGRAM]
+    library = [p.read_text(encoding="utf-8") for p in LIBRARY]
+    assert dead_definitions(library, program, exports=False) == TEST_ONLY

@@ -9,7 +9,6 @@ from shareable_bandits.model import (
     InfeasibleAssignmentError,
     expected_reward,
     oracle,
-    per_slot_regret,
 )
 
 from oracles import brute_force_optimal
@@ -112,19 +111,21 @@ class TestOracle:
 
 
 class TestPerSlotRegret:
+    """A profile's one-slot regret is the optimum's value less its expected reward."""
+
     def test_optimal_profile_has_zero_regret(self):
         opt = oracle([0.9, 0.8, 0.7], [2, 1, 3], 4)
         counts = opt.profile.counts
-        assert per_slot_regret(counts, opt, [0.9, 0.8, 0.7], [2, 1, 3]) == 0.0
+        assert opt.value - expected_reward(counts, [0.9, 0.8, 0.7], [2, 1, 3]) == 0.0
 
     def test_worst_profile_value(self):
         opt = oracle([0.9, 0.8, 0.7], [2, 1, 3], 4)
-        gap = per_slot_regret([0, 0, 4], opt, [0.9, 0.8, 0.7], [2, 1, 3])
+        gap = opt.value - expected_reward([0, 0, 4], [0.9, 0.8, 0.7], [2, 1, 3])
         assert gap == pytest.approx(3.3 - 3 * 0.7)
 
     def test_componentwise_equality_required(self):
         opt = oracle([0.9, 0.8, 0.7], [2, 1, 3], 4)
-        assert per_slot_regret([1, 2, 1], opt, [0.9, 0.8, 0.7], [2, 1, 3]) > 0.0
+        assert opt.value - expected_reward([1, 2, 1], [0.9, 0.8, 0.7], [2, 1, 3]) > 0.0
 
     def test_never_negative(self):
         rng = np.random.default_rng(7)
@@ -137,7 +138,7 @@ class TestPerSlotRegret:
                 continue
             opt = oracle(means, caps, players)
             profile = rng.multinomial(players, np.ones(k) / k)
-            assert per_slot_regret(profile.tolist(), opt, means, caps) >= 0.0
+            assert opt.value - expected_reward(profile.tolist(), means, caps) >= 0.0
 
 
 @settings(max_examples=200, deadline=None)

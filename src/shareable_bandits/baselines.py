@@ -8,6 +8,8 @@ choice every slot.
 
 from __future__ import annotations
 
+from heapq import heapify, heapreplace
+
 from .engine import Observation, PublicEnvInfo
 
 
@@ -18,9 +20,10 @@ def _warmup_arm(player_id: int, t: int, num_arms: int) -> int:
 class HighestRewardPolicy:
     """Play the arm with the highest own empirical total-reward mean.
 
-    After warm-up it states engine blocks: while it plays its argmax b, only
-    b's mean moves, and it is lowest if b pays nothing, so b stays the argmax
-    for as long as S_b / (N_b + j) beats every other mean.
+    After warm-up it states engine blocks, each a cycle of one arm: while it
+    plays its argmax b, only b's mean moves, and it is lowest if b pays
+    nothing, so b stays the argmax for as long as S_b / (N_b + j) beats
+    every other mean.
     """
 
     def __init__(self, player_id: int, env: PublicEnvInfo) -> None:
@@ -38,27 +41,28 @@ class HighestRewardPolicy:
             return _warmup_arm(self.player_id, t, self.num_arms)
         return self._best
 
-    def stable_for(self, t: int) -> int:
-        """n >= 1; when n > 1, any j <= n unpaid pulls of the argmax keep it."""
+    def schedule(self, t: int) -> tuple[int, tuple[int]] | None:
+        """None in warm-up; then (n, (b,)): any j <= n unpaid pulls keep the argmax b."""
         if t < self.num_arms:
-            return 1
+            return None
         b = self._best
         rest = max(self._means[:b] + self._means[b + 1 :], default=0.0)
         if rest > 0:
             # S_b / (N_b + n) > rest holds for n < S_b / rest - N_b. One
             # slot less keeps it strict, since ties go to the lower index;
             # one more keeps it strict after rounding in the division.
-            return max(int(self._sums[b] / rest) - self._pulls[b] - 2, 1)
+            return max(int(self._sums[b] / rest) - self._pulls[b] - 2, 1), (b,)
         # No other arm has paid: b keeps the strictly highest mean, or b is
         # arm 0 and every mean is 0, for the rest of the run.
-        return self.horizon - t
+        return self.horizon - t, (b,)
 
     def observe(self, obs: Observation) -> None:
         self._add(obs.arm, obs.reward, 1)
 
-    def observe_block(self, obs: Observation, hits: int, n: int) -> None:
-        # Rewards are integer-valued, so the sum equals n sequential additions.
-        self._add(obs.arm, obs.reward * hits, n)
+    def observe_block(self, outcomes: list[tuple[Observation, int, int]]) -> None:
+        # Rewards are integer-valued, so each sum equals sequential additions.
+        for obs, hits, slots in outcomes:
+            self._add(obs.arm, obs.reward * hits, slots)
 
     def _add(self, k: int, reward: float, pulls: int) -> None:
         self._pulls[k] += pulls
@@ -69,7 +73,12 @@ class HighestRewardPolicy:
 
 
 class IdlestArmPolicy:
-    """Play the arm this player has seen shared least often, by rate."""
+    """Play the arm this player has seen shared least often, by rate.
+
+    A heap of (rate, arm) holds one entry per arm, so its top is the lowest
+    rate, ties to the lower index. After warm-up the played arm is the top,
+    and one ``heapreplace`` keeps the heap instead of a scan of every rate.
+    """
 
     def __init__(self, player_id: int, env: PublicEnvInfo) -> None:
         self.player_id = player_id
@@ -78,6 +87,7 @@ class IdlestArmPolicy:
         self._pulls = [0] * env.num_arms
         self._shared = [0] * env.num_arms
         self._rates = [float("inf")] * env.num_arms  # inf until first pull
+        self._heap = [(rate, k) for k, rate in enumerate(self._rates)]
         self._best = 0
 
     def next_action(self, t: int) -> int:
@@ -90,10 +100,14 @@ class IdlestArmPolicy:
         self._pulls[k] += 1
         if obs.shared:
             self._shared[k] += 1
-        rates = self._rates
-        rates[k] = self._shared[k] / self._pulls[k]
-        # index() finds the first of equal rates: ties go to the lower index.
-        self._best = rates.index(min(rates))
+        rate = self._rates[k] = self._shared[k] / self._pulls[k]
+        heap = self._heap
+        if heap[0][1] == k:
+            heapreplace(heap, (rate, k))
+        else:  # warm-up, or a caller that plays another arm than the top
+            heap[:] = [(r, a) for a, r in enumerate(self._rates)]
+            heapify(heap)
+        self._best = heap[0][1]
 
 
 class FixedArmPolicy:

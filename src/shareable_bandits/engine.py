@@ -13,17 +13,21 @@ Three things keep ``run`` cheap without changing a single output value:
   count and shared flag, the slot's regret gap and whether it is optimal.
   ``run`` builds this plan once per distinct action tuple and keeps it in a
   per-run dict; a slot is then one lookup plus the draws.
-- **Blocks.** A policy may state that its arm stays fixed for the next n
-  slots whatever it observes (``stable_for``), and then take those n slots'
-  outcome in one call (``observe_block``): its interned hit observation and
-  the number of slots its arm drew 1. A committed player (``exploit_arm``
-  set) is an unbounded block with nothing to observe. When every player is
-  committed or states blocks, the engine takes the shortest block at once.
-  It counts each occupied arm's hits in the drawn chunks, which it draws at
-  the slots stepping would. It adds the profile's gap slot by slot, fills
-  the checkpoints and the optimality mask, and keeps calling ``probe``
-  every slot. When every player has committed, the block runs to the
-  horizon and draws nothing.
+- **Blocks.** A policy may state that for the next n slots it cycles
+  through a fixed tuple of arms whatever it observes (``schedule``), and
+  then take those n slots' outcome in one call (``observe_block``): per
+  position of the block's period, its interned hit observation, the number
+  of those slots its arm drew 1 and the number of slots. A committed player
+  (``exploit_arm`` set) is an unbounded block with nothing to observe. When
+  every player is committed or states a cycle, the engine takes the
+  shortest block at once, with one plan per position of the period P, the
+  lcm of the cycle lengths. It counts each position's hits on each occupied
+  arm in the drawn chunks, P rows apart, and draws the chunks at the slots
+  stepping would. It adds each position's gap slot by slot, fills the
+  checkpoints and the optimality mask, and keeps calling ``probe`` every
+  slot. When every player has committed, the block runs to the horizon and
+  draws nothing. A player that answers None is stepped, and so is
+  everyone else in that slot.
 - **Interned observations.** A player's observation depends only on its
   arm, its arm's count and the arm's draw. ``run`` builds the two
   observations for each (arm, count), one for a 0 draw and one for a 1,
@@ -35,6 +39,8 @@ Three things keep ``run`` cheap without changing a single output value:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle as cycle_of
+from math import lcm
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -93,18 +99,25 @@ class Policy(Protocol):
 
     A policy may also state blocks with two methods, both or neither:
 
-    - ``stable_for(t) -> n``, with n >= 1: the arm it plays at slot t is
-      also its arm at slots t + 1, ..., t + n - 1, whatever it observes in
-      them.
-    - ``observe_block(obs, hits, n)``: the outcome of n such slots at once.
-      ``obs`` is the observation of a 1 draw on its arm with that arm's
-      count; ``hits`` is the number of the n slots whose draw was 1.
+    - ``schedule(t) -> (n, arms)`` or None, with n >= 1 and ``arms`` a
+      non-empty tuple: at slots s = t, ..., t + n - 1 it plays
+      ``arms[(s - t) % len(arms)]``, whatever it observes in them. None
+      means "step me this slot". The query has no side effects: asked
+      twice, it answers the same and changes nothing.
+    - ``observe_block(outcomes)``: the outcome of a block of such slots at
+      once. The block has period P, the lcm of every uncommitted player's
+      cycle length, and ``outcomes`` holds one ``(obs, hits, slots)`` per
+      position j < min(n, P) of it: ``obs`` is the observation of a 1 draw
+      on the player's arm at that position, ``arms[j % len(arms)]``, with
+      that arm's count there; ``slots`` is the number of the block's slots
+      at position j, and ``hits`` the number of those whose draw was 1.
 
-    Once every player is committed or states blocks, every slot lies in a
-    block, however short: for the shortest stated block, the engine calls
-    ``stable_for`` and ``next_action`` for its first slot and then
-    ``observe_block``, and no other method in it. ``phase`` is read after a
-    block's last slot, so a policy may change it only at a block end.
+    Once every player is committed or states blocks, the engine asks the
+    uncommitted ones for their schedules in player order. At the first None
+    it steps the slot for everyone, and otherwise it takes the shortest
+    stated block, however short: it calls ``observe_block`` once for it,
+    and no other method in it. ``phase`` is read after a block's last slot,
+    so a policy may change it only at a block end.
 
     A policy may also have an ``exploit_arm`` attribute, an int or None,
     read with ``getattr`` before each slot. An int means the player is
@@ -113,7 +126,7 @@ class Policy(Protocol):
     block with nothing to observe and calls none of its methods again. A
     player that must keep observing leaves it unset.
 
-    The engine reads ``next_action``, ``observe`` and ``stable_for`` once
+    The engine reads ``next_action``, ``observe`` and ``schedule`` once
     per run, before the first slot, and calls those bound methods.
     """
 
@@ -218,7 +231,8 @@ def run(
 
     An error raised in a player's method, and the ``InvalidActionError`` of
     an arm outside [0, K), propagates with the slot (a block's slots for
-    ``observe_block``), the player and its phase appended to its message.
+    ``observe_block``, its first slot for a stated arm), the player and its
+    phase appended to its message.
     """
     opt: OptimalProfile = optimal_profile_for(spec)
     fstar = opt.value
@@ -274,7 +288,7 @@ def run(
     means_array = np.asarray(means)
     next_actions = [p.next_action for p in policies]
     observers = [p.observe for p in policies]
-    stable_fors = [getattr(p, "stable_for", None) for p in policies]
+    schedules = [getattr(p, "schedule", None) for p in policies]
 
     def draw(t: int) -> bytes:
         """X_k bytes of the chunk that starts at slot t, K per slot."""
@@ -283,15 +297,28 @@ def run(
     draws = b""
     offset = 0
     first = 0  # players before this index are committed or state blocks
+    live = list(range(M))  # uncommitted players, kept once first == M
     t = 0
     try:
         while t < T:
             while first < M and (
-                stable_fors[first] is not None
+                schedules[first] is not None
                 or getattr(policies[first], "exploit_arm", None) is not None
             ):
                 first += 1
-            if first < M:
+            stated = None
+            if first == M:
+                # Ask the uncommitted players in order; the first None steps
+                # the slot, so a stepped slot pays one query, not M.
+                live = [i for i in live if getattr(policies[i], "exploit_arm", None) is None]
+                stated = []
+                for i in live:
+                    answer = schedules[i](t)
+                    if answer is None:
+                        stated = None
+                        break
+                    stated.append(answer)
+            if stated is None:
                 if offset == len(draws):
                     offset = 0
                     draws = draw(t)
@@ -303,20 +330,31 @@ def run(
                 for observe, a, (miss, hit) in zip(observers, arms, players):
                     observe(hit if row[a] else miss)
             else:
-                # Every player is committed or states blocks: take the
-                # shortest block, to the horizon when all have committed.
-                arms = [getattr(p, "exploit_arm", None) for p in policies]
-                live = [i for i, a in enumerate(arms) if a is None]
+                # Every uncommitted player stated a cycle: take the shortest
+                # block, to the horizon when all have committed. Its profile
+                # repeats with the period P, the lcm of the cycle lengths.
                 n = T - t
-                for i in live:
-                    n = min(n, stable_fors[i](t))
-                    arms[i] = next_actions[i](t)
-                players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms)
+                period = 1
+                for m, cycle in stated:
+                    n = min(n, m)
+                    period = lcm(period, len(cycle))
+                width = min(n, period)  # positions the block reaches
+                arms = [getattr(p, "exploit_arm", None) for p in policies]
+                at = []  # the plan of each position
+                for j in range(width):
+                    for i, (_, cycle) in zip(live, stated):
+                        arms[i] = cycle[j % len(cycle)]
+                    at.append(plans.get(tuple(arms)) or plan_for(arms))
                 last = t + n - 1
                 if live:
-                    # Hits per occupied arm, counted in each chunk the block
-                    # spans; chunks are drawn at the slots stepping would.
-                    hits = dict.fromkeys([arms[i] for i in live], 0)
+                    # Hits per (position, occupied arm), counted in each chunk
+                    # the block spans; chunks are drawn at the slots stepping
+                    # would. Position j's slots are P rows apart.
+                    hits = [
+                        dict.fromkeys([cycle[j % len(cycle)] for _, cycle in stated], 0)
+                        for j in range(width)
+                    ]
+                    stride = K * period
                     s = t
                     while s <= last:
                         if offset == len(draws):
@@ -324,22 +362,30 @@ def run(
                             draws = draw(s)
                         rows = min(last + 1 - s, (len(draws) - offset) // K)
                         stop = offset + rows * K
-                        for a in hits:
-                            hits[a] += draws[offset + a : stop : K].count(1)
+                        for j, counted in enumerate(hits):
+                            start = offset + (j - (s - t)) % period * K
+                            for a in counted:
+                                counted[a] += draws[start + a : stop : stride].count(1)
                         offset = stop
                         s += rows
-                    for i in live:
-                        policies[i].observe_block(players[i][1], hits[arms[i]], n)
+                    for i, (_, cycle) in zip(live, stated):
+                        size = len(cycle)
+                        policies[i].observe_block([
+                            (at[j][0][i][1], hits[j][cycle[j % size]], (n - j - 1) // period + 1)
+                            for j in range(width)
+                        ])
                 # Every slot of the block but its last, which the tail below
                 # takes. Regret is added slot by slot: n * gap rounds otherwise.
-                if optimal:
-                    optimal_mask[t:last] = True
-                for s in range(t, last):
+                for j, (_, _, optimal, _) in enumerate(at):
+                    if optimal:
+                        optimal_mask[t + j : last : period] = True
+                for s, (_, gap, _, counts) in zip(range(t, last), cycle_of(at)):
                     regret += gap
                     if s + 1 in cp_set:
                         cp_regret.append(regret)
                     if probe is not None:
                         probe(s, policies, counts)
+                _, gap, optimal, counts = at[(n - 1) % period]
                 t = last
 
             regret += gap

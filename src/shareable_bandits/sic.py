@@ -229,6 +229,10 @@ class SicSdaPolicy:
 
     Only the 1-bit shared flag is consumed, so count feedback degrades
     gracefully to the same behaviour (the SDI adapter is this same class).
+
+    Each exploration stage is fixed when it starts, so the rest of it is an
+    engine block (``schedule``). Orthogonalization, rank assignment and
+    communication are stepped: a listener reads the shared flag slot by slot.
     """
 
     def __init__(
@@ -421,21 +425,60 @@ class SicSdaPolicy:
 
     # -- engine interface -----------------------------------------------------
 
+    def schedule(self, t: int) -> tuple[int, tuple[int, ...]] | None:
+        """The rest of an exploration stage as an engine block; None otherwise.
+
+        Individual exploration: a rotating rank cycles through the active
+        arms from ``active[(rank - 1 + t) % K_t]``, an anchor sits still.
+        United exploration: everyone cycles through the rally arms, and a
+        rank above an arm's upper bound holds its seat instead.
+        """
+        mode = self._mode
+        if mode == _IE:
+            active = self.active
+            n = (len(active) << self.phase_num) - self._slot
+            if self._anchor is not None:
+                return n, (self._anchor,)
+            k = (self.rank - 1 + t) % len(active)
+            return n, tuple(active[k:] + active[:k])
+        if mode == _UE:
+            rally = self._ue_arms
+            n = (len(rally) << self.phase_num) - self._slot
+            k = self._slot % len(rally)
+            # Only upper-bound many players are needed to saturate an arm.
+            return n, tuple(
+                arm if self.rank <= self.upper[arm] else self._seat
+                for arm in rally[k:] + rally[:k]
+            )
+        return None
+
+    def observe_block(self, outcomes: list[tuple[Observation, int, int]]) -> None:
+        """Fold exploration outcomes, one (hit obs, hits, slots) per position."""
+        if self._mode == _IE:
+            if self._anchor is None:
+                sums = self._phase_sums
+                for obs, hits, _ in outcomes:
+                    sums[obs.arm] += int(obs.reward + 0.5) * hits
+            end = len(self.active) << self.phase_num
+        else:
+            if self.is_leader:
+                for obs, hits, slots in outcomes:
+                    self.stats.add_united(obs.arm, obs.reward * hits, slots)
+            end = len(self._ue_arms) << self.phase_num
+        self._slot += sum(slots for _, _, slots in outcomes)
+        if self._slot == end:
+            if self._mode == _IE and self._ue_arms:
+                self._mode = _UE
+                self._slot = 0
+            else:
+                self._begin_upload()
+
     def next_action(self, t: int) -> int:
         mode = self._mode
         if mode == _EXPLOIT:
             return self.exploit_arm
-        if mode == _IE:
-            if self._anchor is not None:
-                return self._anchor
-            k_t = len(self.active)
-            return self.active[(self.rank - 1 + t) % k_t]
-        if mode == _UE:
-            arm = self._ue_arms[self._slot % len(self._ue_arms)]
-            # Only upper-bound many players are needed to saturate the arm.
-            if self.rank <= self.upper[arm]:
-                return arm
-            return self._seat
+        if mode == _IE or mode == _UE:
+            return self.schedule(t)[1][0]
         if mode == _BACK or mode == _FORTH:
             pair, bit = divmod(self._slot, self._stage_len)
             speaker, listener = self._pairs[pair]
@@ -459,10 +502,9 @@ class SicSdaPolicy:
         mode = self._mode
         if mode == _EXPLOIT:
             return
-        if mode == _IE:
-            self._observe_ie(obs)
-        elif mode == _UE:
-            self._observe_ue(obs)
+        if mode == _IE or mode == _UE:
+            # A miss carries reward 0, so one hit of it adds nothing.
+            self.observe_block([(obs, 1, 1)])
         elif mode == _BACK or mode == _FORTH:
             self._observe_comm(obs)
         elif mode == _ORTHO:
@@ -472,24 +514,6 @@ class SicSdaPolicy:
             self._observe_rank(obs)
 
     # -- per-mode observation handlers ----------------------------------------
-
-    def _observe_ie(self, obs: Observation) -> None:
-        if self._anchor is None:
-            self._phase_sums[obs.arm] += int(obs.reward + 0.5)
-        self._slot += 1
-        if self._slot == len(self.active) << self.phase_num:
-            if self._ue_arms:
-                self._mode = _UE
-                self._slot = 0
-            else:
-                self._begin_upload()
-
-    def _observe_ue(self, obs: Observation) -> None:
-        if self.is_leader:
-            self.stats.add_united(obs.arm, obs.reward)
-        self._slot += 1
-        if self._slot == len(self._ue_arms) << self.phase_num:
-            self._begin_upload()
 
     def _observe_comm(self, obs: Observation) -> None:
         if self.rank == self._pairs[self._slot // self._stage_len][1]:

@@ -152,9 +152,10 @@ class PlayerStats:
         self.ie_sum[arm] += per_load_reward
         self.ie_count[arm] += 1
 
-    def add_united(self, arm: int, total_reward: float) -> None:
+    def add_united(self, arm: int, total_reward: float, pulls: int = 1) -> None:
+        """Add ``pulls`` rallies on ``arm`` that paid ``total_reward`` together."""
         self.ue_sum[arm] += total_reward
-        self.ue_count[arm] += 1
+        self.ue_count[arm] += pulls
 
     def mu_hat(self, arm: int) -> float:
         if self.ie_count[arm] == 0:

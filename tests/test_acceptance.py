@@ -539,22 +539,43 @@ def test_criterion_10_decentralization_audit():
                    feedback=Feedback.SDI, seed=4)
     allowed = {"arm", "reward", "count", "shared"}
     leaks = []
+    blocks = []
+
+    def audit(obs):
+        if set(type(obs).__dataclass_fields__) != allowed:
+            leaks.append("fields")
+        if obs.count is not None and not 1 <= obs.count <= spec.num_players:
+            leaks.append("count")
+        if not 0.0 <= obs.reward <= spec.num_players:
+            leaks.append("reward")
 
     class Audited(DpeSdiPolicy):
         def observe(self, obs):
-            if set(type(obs).__dataclass_fields__) != allowed:
-                leaks.append("fields")
-            if obs.count is not None and not 1 <= obs.count <= spec.num_players:
-                leaks.append("count")
-            if not 0.0 <= obs.reward <= spec.num_players:
-                leaks.append("reward")
+            audit(obs)
             super().observe(obs)
 
+    class AuditedSic(SicSdaPolicy):
+        """Block outcomes too: each carries an observation and a hit count."""
+
+        def observe(self, obs):
+            audit(obs)
+            super().observe(obs)
+
+        def observe_block(self, outcomes):
+            blocks.append(len(outcomes))
+            for obs, hits, slots in outcomes:
+                audit(obs)
+                if not 0 <= hits <= slots:
+                    leaks.append("hits")
+            super().observe_block(outcomes)
+
     run(Audited, spec)
-    ok = env_ok and sig_ok and not leaks
+    run(AuditedSic, spec)
+    ok = env_ok and sig_ok and not leaks and bool(blocks)
     assert report(
         10,
         ok,
         f"env fields clean: {env_ok}; constructor params clean: {sig_ok}; "
-        f"observation leaks: {leaks or 'none'}",
+        f"observation leaks: {leaks or 'none'} "
+        f"(sic-sdi block outcomes audited: {sum(blocks)})",
     )

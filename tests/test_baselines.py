@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 
 from shareable_bandits.baselines import (
@@ -125,13 +127,14 @@ def copy_state(policy):
 class TestHighestRewardBlocks:
     def test_warmup_states_no_block(self):
         policy = HighestRewardPolicy(0, make_env())
-        assert [policy.stable_for(t) for t in range(4)] == [1, 1, 1, 1]
+        assert [policy.schedule(t) for t in range(4)] == [None] * 4
 
     def test_zero_pulls_within_the_bound_keep_the_argmax(self):
         checked = 0
         for policy in random_states(11, 400):
             b, t = policy._best, policy.num_arms
-            n = policy.stable_for(t)
+            n, arms = policy.schedule(t)
+            assert arms == (b,)
             if n == 1 or n > 30_000:
                 continue
             checked += 1
@@ -146,7 +149,7 @@ class TestHighestRewardBlocks:
         policy = HighestRewardPolicy(0, make_env(num_arms=2))
         policy._sums, policy._pulls = [1.0, 60.0], [2, 100]
         policy._means, policy._best = [0.5, 0.6], 1
-        n = policy.stable_for(2)
+        n, _ = policy.schedule(2)
         assert 1 < n < 20
         for _ in range(20):
             policy.observe(Observation(1, 0.0, 1, False))
@@ -156,11 +159,11 @@ class TestHighestRewardBlocks:
         policy = HighestRewardPolicy(0, make_env(horizon=500))
         for arm, reward in enumerate([0.0, 1.0, 0.0, 0.0]):
             policy.observe(Observation(arm, reward, 1, False))
-        assert policy.stable_for(4) == 496
+        assert policy.schedule(4) == (496, (1,))
         policy = HighestRewardPolicy(0, make_env(horizon=500))
         for arm in range(4):
             policy.observe(Observation(arm, 0.0, 1, False))
-        assert policy.stable_for(4) == 496  # every mean 0: arm 0 for good
+        assert policy.schedule(4) == (496, (0,))  # every mean 0: arm 0 for good
 
     def test_repeated_calls_without_observing_agree(self):
         """Asked again without an observation, even past its bound, it answers n >= 1.
@@ -172,14 +175,24 @@ class TestHighestRewardBlocks:
         for policy in random_states(13, 200):
             b, start, horizon = policy._best, policy.num_arms, policy.horizon
             rest = max(policy._means[:b] + policy._means[b + 1 :])
-            first = policy.stable_for(start)
+            first, _ = policy.schedule(start)
             for t in (start, start + 1, start + first, start + 3 * first + 7, horizon - 1):
                 t = min(t, horizon - 1)
-                n = policy.stable_for(t)
-                assert n >= 1
+                n, arms = policy.schedule(t)
+                assert n >= 1 and arms == (b,)
                 assert n == (first if rest > 0 else horizon - t), (t, n, first)
             cases["bounded" if rest > 0 else "unbounded"] += 1
         assert min(cases.values()) >= 10, cases
+
+    def test_schedule_is_pure(self):
+        """Asked twice, in warm-up or after it, the answers agree and no state moves."""
+        policies = [HighestRewardPolicy(0, make_env()), *random_states(14, 100)]
+        for policy in policies:
+            for t in (0, policy.num_arms, policy.num_arms + 17):
+                before = pickle.dumps(vars(policy))
+                first = policy.schedule(t)
+                assert policy.schedule(t) == first
+                assert pickle.dumps(vars(policy)) == before
 
     def test_block_equals_sequential_observations(self):
         rng = np.random.default_rng(5)
@@ -194,7 +207,7 @@ class TestHighestRewardBlocks:
             miss = Observation(arm, 0.0, int(factor), factor > 1)
             for paid in rng.permutation([True] * hits + [False] * (n - hits)):
                 step.observe(hit if paid else miss)
-            block.observe_block(hit, hits, n)
+            block.observe_block([(hit, hits, n)])
             assert copy_state(block) == copy_state(step)
 
 
@@ -234,6 +247,29 @@ class TestIdlestArm:
             ]
             best = min(range(5), key=lambda k: (rates[k], k))
             assert policy.next_action(10) == best
+
+
+    def test_heap_argmin_matches_the_index_rule_with_ties(self):
+        """After every observation the heap's top is ``rates.index(min(rates))``.
+
+        Small pull counts make equal rates common. Most observations are of
+        the played arm, as in a run; the rest are of any arm.
+        """
+        rng = np.random.default_rng(9)
+        ties = 0
+        for _ in range(200):
+            num_arms = int(rng.integers(2, 7))
+            policy = IdlestArmPolicy(int(rng.integers(num_arms)), make_env(num_arms=num_arms))
+            for t in range(int(rng.integers(1, 60))):
+                arm = policy.next_action(t)
+                if rng.random() < 0.2:
+                    arm = int(rng.integers(num_arms))
+                shared = bool(rng.random() < 0.5)
+                policy.observe(Observation(arm, 0.0, 2 if shared else 1, shared))
+                rates = policy._rates
+                assert policy._best == rates.index(min(rates))
+                ties += rates.count(min(rates)) > 1
+        assert ties > 500
 
 
 class TestDummies:

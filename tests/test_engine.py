@@ -5,7 +5,11 @@ import pytest
 from oracles import naive_run
 
 from shareable_bandits import engine
-from shareable_bandits.baselines import FixedArmPolicy, fixed_profile_factory
+from shareable_bandits.baselines import (
+    FixedArmPolicy,
+    HighestRewardPolicy,
+    fixed_profile_factory,
+)
 from shareable_bandits.engine import (
     InvalidActionError,
     Observation,
@@ -15,6 +19,7 @@ from shareable_bandits.engine import (
 from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for
 from shareable_bandits.protocol import ProtocolCorruptionError
 from shareable_bandits.scenarios import ALGORITHMS
+from shareable_bandits.sic import SicSdaPolicy
 
 
 def make_spec(**kw):
@@ -189,19 +194,19 @@ class TestRun:
 
     def test_observations_are_interned_per_run(self):
         """A run builds at most two observations per (arm, count), whatever T."""
-        cls = ALGORITHMS["highest-reward"][0]
         distinct = {}
         for horizon in (2_000, 20_000):
             seen = {}  # id -> observation, kept alive so no id is reused
 
-            class Recording(cls):
+            class Recording(HighestRewardPolicy):
                 def observe(self, obs):
                     seen[id(obs)] = obs
                     super().observe(obs)
 
-                def observe_block(self, obs, hits, n):
-                    seen[id(obs)] = obs
-                    super().observe_block(obs, hits, n)
+                def observe_block(self, outcomes):
+                    for obs, _, _ in outcomes:
+                        seen[id(obs)] = obs
+                    super().observe_block(outcomes)
 
             spec = make_spec(horizon=horizon)
             run(Recording, spec)
@@ -245,10 +250,10 @@ class TestRun:
             def observe(self, obs):
                 pass
 
-            def stable_for(self, t):
-                return 4 - t % 4
+            def schedule(self, t):
+                return 4 - t % 4, (self.next_action(t),)
 
-            def observe_block(self, obs, hits, n):
+            def observe_block(self, outcomes):
                 pass
 
         with pytest.raises(
@@ -278,12 +283,14 @@ class TestRun:
                     raise ProtocolCorruptionError("lost sync")
 
         class FailingInBlocks(Failing):
-            def stable_for(self, t):
-                return 5 - t % 5
+            def schedule(self, t):
+                return 5 - t % 5, (self.player_id,)
 
-            def observe_block(self, obs, hits, n):
+            def observe_block(self, outcomes):
+                n = sum(slots for _, _, slots in outcomes)
                 if self.player_id == 2 and self._t <= 7 < self._t + n:
                     raise ProtocolCorruptionError("lost sync")
+                self._t += n
 
         with pytest.raises(
             ProtocolCorruptionError,
@@ -436,6 +443,29 @@ BLOCK_CASES = {
 }
 
 
+# SIC runs that spend most player-slots exploring: (algorithm, spec
+# overrides, engine._CHUNK). In the first, 4 players share 5 arms and two
+# arms take 3 each, so anchored players sit still while the rest rotate. In
+# the second, capacities stay unlearned for long, so united-exploration
+# rallies run, with seats for ranks above an arm's upper bound; it draws 7
+# slots per chunk, so its blocks straddle chunk refills.
+SIC_BLOCK_CASES = {
+    "sda-anchors": (
+        "sic-sda",
+        dict(
+            num_arms=5, num_players=4, means=(0.9, 0.88, 0.3, 0.2, 0.1),
+            capacities=(3, 3, 1, 1, 1), horizon=5000, seed=2,
+        ),
+        engine._CHUNK,
+    ),
+    "sdi-rallies-chunk-7": (
+        "sic-sdi",
+        dict(means=(0.9, 0.85, 0.8, 0.75), capacities=(1, 1, 2, 1), horizon=4000),
+        7,
+    ),
+}
+
+
 class TestNaiveLoop:
     @pytest.mark.parametrize("algorithm, overrides", NAIVE_CASES)
     def test_run_equals_naive_loop(self, algorithm, overrides):
@@ -450,10 +480,10 @@ class TestNaiveLoop:
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         blocks = []
 
-        class Counted(ALGORITHMS["highest-reward"][0]):
-            def observe_block(self, obs, hits, n):
-                blocks.append(n)
-                super().observe_block(obs, hits, n)
+        class Counted(HighestRewardPolicy):
+            def observe_block(self, outcomes):
+                blocks.append(sum(slots for _, _, slots in outcomes))
+                super().observe_block(outcomes)
 
         spec = make_spec(**overrides)
         assert_run_equals_naive_loop(Counted, spec)
@@ -463,6 +493,24 @@ class TestNaiveLoop:
             assert blocks == [1] * len(blocks[: -spec.num_players]) + long
         if case == "chunk-7":
             assert max(blocks) > 2 * chunk
+
+    @pytest.mark.parametrize("case", SIC_BLOCK_CASES)
+    def test_sic_blocks_equal_naive_loop(self, monkeypatch, case):
+        algorithm, overrides, chunk = SIC_BLOCK_CASES[case]
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        forced = ALGORITHMS[algorithm][1]  # both run SicSdaPolicy
+        in_blocks = []
+
+        class Counted(SicSdaPolicy):
+            def observe_block(self, outcomes):
+                in_blocks.append(sum(slots for _, _, slots in outcomes))
+                super().observe_block(outcomes)
+
+        spec = dataclasses.replace(make_spec(**overrides), feedback=forced)
+        assert_run_equals_naive_loop(Counted, spec)
+        assert sum(in_blocks) > spec.horizon * spec.num_players // 2
+        if chunk < 10:
+            assert max(in_blocks) > 2 * chunk
 
     def test_full_memo_starts_over(self, monkeypatch):
         monkeypatch.setattr(engine, "_MAX_PLANS", 8)
@@ -506,34 +554,44 @@ class TestNaiveLoop:
 
 
 class BlockPolicy:
-    """Plays ``arm`` in blocks of slots ``length``·k to ``length``·k + length - 1.
+    """Cycles through ``arms`` from slot 0, in blocks of slots ``length``·k to
+    ``length``·k + length - 1.
 
-    ``calls`` collects (player, method, slot) for every engine call, and
-    ``blocks`` the (first slot, n) of every block outcome.
+    ``calls`` collects (player, method, slot) for every engine call,
+    ``blocks`` the (first slot, n) of every block outcome, and ``outcomes``
+    the outcomes of each block.
     """
 
-    def __init__(self, player_id, arm, length, calls):
+    def __init__(self, player_id, arms, length, calls):
         self.player_id = player_id
-        self.arm = arm
+        self.arms = arms
         self.length = length
         self.calls = calls
         self.blocks = []
-        self._t = -1
+        self.outcomes = []
+        self._t = 0  # the next slot it plays
 
     def next_action(self, t):
         self._t = t
         self.calls.append((self.player_id, "next_action", t))
-        return self.arm
+        return self.arms[t % len(self.arms)]
 
     def observe(self, obs):
         self.calls.append((self.player_id, "observe", self._t))
+        self._t += 1
 
-    def stable_for(self, t):
-        return self.length - t % self.length
+    def schedule(self, t):
+        size = len(self.arms)
+        return self.length - t % self.length, tuple(
+            self.arms[(t + j) % size] for j in range(size)
+        )
 
-    def observe_block(self, obs, hits, n):
+    def observe_block(self, outcomes):
+        n = sum(slots for _, _, slots in outcomes)
         self.calls.append((self.player_id, "observe_block", self._t))
         self.blocks.append((self._t, n))
+        self.outcomes.append(outcomes)
+        self._t += n
 
 
 class TestMixedBlocks:
@@ -544,7 +602,7 @@ class TestMixedBlocks:
     def factory(self, calls):
         def make(i, env):
             if i == 1:
-                return BlockPolicy(i, 1, 4, calls)
+                return BlockPolicy(i, (1,), 4, calls)
             return CommittingPolicy(i, 3, 9 if i == 0 else 5, 0, calls)
 
         return make
@@ -568,6 +626,55 @@ class TestMixedBlocks:
 
     def test_trace_equals_naive_loop(self):
         assert_run_equals_naive_loop(self.factory([]), make_spec(horizon=50))
+
+
+class TestCycleBlocks:
+    """Cycling block players with a committing player.
+
+    Player 0 plays arm 3 and commits to arm 0 in slot 9. Player 1 cycles
+    through arms 0, 1, 2 and player 2 through arms 2, 3, both in blocks of
+    slots 8k to 8k + 7, so a block's profile repeats every 6 slots. The
+    first block (10-15) is one period long, the next ones longer and the
+    last (48-49) shorter than the period.
+    """
+
+    CYCLES = {1: (0, 1, 2), 2: (2, 3)}
+
+    def factory(self, calls):
+        def make(i, env):
+            if i in self.CYCLES:
+                return BlockPolicy(i, self.CYCLES[i], 8, calls)
+            return CommittingPolicy(i, 3, 9, 0, calls)
+
+        return make
+
+    @pytest.mark.parametrize("chunk", [engine._CHUNK, 7])
+    def test_trace_equals_naive_loop(self, monkeypatch, chunk):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        assert_run_equals_naive_loop(self.factory([]), make_spec(horizon=50))
+
+    def test_one_outcome_per_position_of_the_period(self):
+        grabbed = []
+
+        def probe(t, policies, counts):
+            grabbed[:] = policies
+
+        spec = make_spec(horizon=50)
+        run(self.factory([]), spec, probe=probe)
+        starts = [(10, 6), (16, 8), (24, 8), (32, 8), (40, 8), (48, 2)]
+        for i, cycle in self.CYCLES.items():
+            player = grabbed[i]
+            assert player.blocks == starts
+            for (start, n), outcomes in zip(player.blocks, player.outcomes):
+                assert len(outcomes) == min(n, 6)
+                for j, (obs, hits, slots) in enumerate(outcomes):
+                    arm = cycle[(start + j) % len(cycle)]
+                    others = [c[(start + j) % len(c)] for k, c in self.CYCLES.items() if k != i]
+                    count = 1 + others.count(arm) + (arm == 0)  # player 0 sits on arm 0
+                    assert (obs.arm, obs.count) == (arm, count)
+                    assert obs.reward == min(count, spec.capacities[arm])
+                    assert slots == len(range(j, n, 6))
+                    assert 0 <= hits <= slots
 
 
 class TestIsolation:
@@ -594,22 +701,28 @@ class TestIsolation:
                 assert 0.0 <= obs.reward <= spec.num_players
 
     def test_block_outcomes_carry_only_the_players_own_arm(self):
-        outcomes = []
+        """Each outcome is the hit observation of the arm stated at its position."""
+        for algorithm in ("highest-reward", "sic-sda", "sic-sdi"):
+            cls, forced = ALGORITHMS[algorithm]
+            outcomes = []
 
-        class Recording(ALGORITHMS["highest-reward"][0]):
-            def next_action(self, t):
-                self.arm = super().next_action(t)
-                return self.arm
+            class Recording(cls):
+                def schedule(self, t):
+                    # The last query before a block is the one at its start.
+                    self.stated = super().schedule(t)
+                    return self.stated
 
-            def observe_block(self, obs, hits, n):
-                outcomes.append((self.arm, obs, hits, n))
-                super().observe_block(obs, hits, n)
+                def observe_block(self, block):
+                    outcomes.append((self.stated, block))
+                    super().observe_block(block)
 
-        spec = make_spec(horizon=3000)
-        run(Recording, spec)
-        assert outcomes
-        for arm, obs, hits, n in outcomes:
-            assert type(obs) is Observation
-            assert obs.arm == arm
-            assert 0 <= hits <= n
-            assert 0.0 < obs.reward <= spec.num_players
+            spec = make_spec(horizon=3000, feedback=forced or Feedback.SDI)
+            run(Recording, spec)
+            assert outcomes, algorithm
+            for (n, arms), block in outcomes:
+                assert block and sum(slots for _, _, slots in block) <= n
+                for j, (obs, hits, slots) in enumerate(block):
+                    assert type(obs) is Observation
+                    assert obs.arm == arms[j % len(arms)]
+                    assert 0 <= hits <= slots
+                    assert 0.0 < obs.reward <= spec.num_players

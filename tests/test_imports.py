@@ -1,12 +1,13 @@
-"""Every module under src/ and tests/ uses each name it imports, and every
-function and class under src/ is named by the program.
+"""Every module under src/ and tests/ uses each name it imports, every
+function and class under src/ is named by the program, and every policy
+states engine blocks with both block methods or neither.
 
 The project has no linter, so these stdlib ``ast`` checks stand in for the
 unused-import rule and for a dead-code check. A name counts as used when the
 module reads it anywhere or lists it in ``__all__`` (the package's
 re-exports). A definition counts as named when a module reads it as a name
 or an attribute, imports it and reads it, or holds it as a string constant,
-as ``getattr(policy, "stable_for", None)`` does. Two checks use that:
+as ``getattr(policy, "schedule", None)`` does. Two checks use that:
 
 - every definition is named or re-exported (imported, or listed in
   ``__all__``) by some module under src/, tests/ or perfbench/;
@@ -15,6 +16,7 @@ as ``getattr(policy, "stable_for", None)`` does. Two checks use that:
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -146,3 +148,87 @@ def test_no_test_only_definitions():
     program = [p.read_text(encoding="utf-8") for p in PROGRAM]
     library = [p.read_text(encoding="utf-8") for p in LIBRARY]
     assert dead_definitions(library, program, exports=False) == TEST_ONLY
+
+
+BLOCK_METHODS = {"schedule", "observe_block"}
+
+
+def classes(source: str) -> list[tuple[str, list[str | None], set[str]]]:
+    """(name, base names, method names) of every class in a module, nested
+    ones included; a base that is not a plain name is None."""
+    return [
+        (
+            node.name,
+            [b.id if isinstance(b, ast.Name) else None for b in node.bases],
+            {n.name for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))},
+        )
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    ]
+
+
+def half_block_apis(module: str, library: list[str]) -> list[str]:
+    """Classes in ``module`` that define one block method and do not define
+    or inherit the other ("both or neither", ``engine.Policy``).
+
+    A base is looked up by name among the classes of ``module`` and
+    ``library``; a class that needs a base it cannot look up is listed.
+    """
+    known = defaultdict(list)  # name -> (bases, methods) of each class so named
+    for source in [*library, module]:
+        for name, bases, methods in classes(source):
+            known[name].append((bases, methods))
+
+    def inherited(bases: list[str | None], seen: frozenset) -> set[str] | None:
+        found = set()
+        for base in bases:
+            if base == "object" or base in seen:
+                continue
+            if base not in known:
+                return None
+            for grand, methods in known[base]:
+                more = inherited(grand, seen | {base})
+                if more is None:
+                    return None
+                found |= methods | more
+        return found
+
+    halves = []
+    for name, bases, methods in classes(module):
+        own = methods & BLOCK_METHODS
+        if own and own != BLOCK_METHODS:
+            found = inherited(bases, frozenset({name}))
+            if found is None or not BLOCK_METHODS <= own | found:
+                halves.append(name)
+    return sorted(halves)
+
+
+def test_checker_finds_a_half_block_api():
+    library = (
+        "class Both:\n"
+        "    def schedule(self, t):\n        pass\n"
+        "    def observe_block(self, outcomes):\n        pass\n"
+    )
+    module = (
+        "class Fine(Both):\n    def observe_block(self, outcomes):\n        pass\n"
+        "class Deeper(Fine):\n    def schedule(self, t):\n        pass\n"
+        "class Neither(Unknown):\n    def observe(self, obs):\n        pass\n"
+        "class Half:\n    def schedule(self, t):\n        pass\n"
+        "class Unresolved(Unknown):\n    def observe_block(self, outcomes):\n        pass\n"
+        "def make(cls):\n"
+        "    class Local(cls):\n        def schedule(self, t):\n            pass\n"
+    )
+    assert half_block_apis(module, [library]) == ["Half", "Local", "Unresolved"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_block_methods_come_in_pairs(path):
+    library = [p.read_text(encoding="utf-8") for p in LIBRARY]
+    assert half_block_apis(path.read_text(encoding="utf-8"), library) == []
+
+
+def test_no_stale_block_query_name():
+    """``schedule`` replaced the block query ``stable_for``: no code names the old one."""
+    paths = [p for p in USERS if p != Path(__file__).resolve()] + [ROOT / "README.md"]
+    stale = [p for p in paths if "stable_for" in p.read_text(encoding="utf-8")]
+    assert [str(p.relative_to(ROOT)) for p in stale] == []

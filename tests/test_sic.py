@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from shareable_bandits.engine import run
-from shareable_bandits.model import EnvSpec, Feedback
+from shareable_bandits.engine import PublicEnvInfo, run
+from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for
 from shareable_bandits.protocol import (
     LeaderDecision,
     ProtocolCorruptionError,
@@ -18,7 +20,7 @@ from shareable_bandits.sic import (
     upload_bits,
 )
 
-from oracles import simulate_bit_upload, simulate_rank_assignment
+from oracles import naive_run, simulate_bit_upload, simulate_rank_assignment
 
 
 def make_spec(**kw):
@@ -333,6 +335,34 @@ class TestEndToEnd:
 
         run(SicSdaPolicy, spec, probe=probe)
         assert bad == []
+
+
+class TestSchedule:
+    def test_schedule_is_pure_in_every_mode(self):
+        """Asked twice in any slot, a player answers the same and keeps its state.
+
+        The naive loop steps every slot, so the check runs in every mode.
+        """
+        spec = make_spec(horizon=6000)
+        modes = set()
+
+        class Checked(SicSdaPolicy):
+            def next_action(self, t):
+                before = pickle.dumps(vars(self))
+                answer = self.schedule(t)
+                assert self.schedule(t) == answer
+                assert pickle.dumps(vars(self)) == before, (t, self._mode)
+                modes.add((self._mode, answer is None))
+                return super().next_action(t)
+
+        opt = optimal_profile_for(spec)
+        naive_run(
+            Checked, lambda rng: PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng),
+            spec, False, opt.value, opt.profile.counts, [],
+        )
+        stepped = {"orthogonalize", "rank-assign", "comm-upload", "comm-broadcast", "exploit"}
+        blocks = {"explore-individual", "explore-united"}
+        assert modes == {(m, True) for m in stepped} | {(m, False) for m in blocks}
 
 
 class TestCommunicationSeats:

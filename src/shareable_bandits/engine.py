@@ -308,8 +308,8 @@ def run(
                 first += 1
             stated = None
             if first == M:
-                # Ask the uncommitted players in order; the first None steps
-                # the slot, so a stepped slot pays one query, not M.
+                # Ask the uncommitted players in order and step the slot at
+                # the first None, so the players after it are not asked.
                 live = [i for i in live if getattr(policies[i], "exploit_arm", None) is None]
                 stated = []
                 for i in live:

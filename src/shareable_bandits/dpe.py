@@ -25,6 +25,7 @@ round slot 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from .engine import Observation, PublicEnvInfo
 from .model import Feedback, oracle
@@ -40,6 +41,8 @@ from .protocol import (
 from .stats import (
     CapacityBounds,
     PlayerStats,
+    closed_bracket_holds,
+    confidence_radius,
     klucb_at_least,
     klucb_budget,
     update_capacity_bounds,
@@ -118,6 +121,13 @@ class DpeSdiPolicy:
 
     Only ``next_action``/``observe`` touch the engine. Everything else is
     derived from the player's own observations, so instances share nothing.
+
+    A round is planned whole when it starts: its arm for every slot, which a
+    follower takes from a table built once per view, and which the leader
+    takes from the same table after drawing its probe coins. In the round,
+    ``next_action`` is one list lookup, and a follower's ``observe`` compares
+    the count with the planned slot's limit; after a detection it idles on
+    that arm for the rest of the round's first M slots.
     """
 
     def __init__(
@@ -134,7 +144,7 @@ class DpeSdiPolicy:
 
         self.phase = "init"
         self._mode = _RALLY
-        self._t = 0
+        self._t = 0  # the last slot played; in a round, set when it ends
         self.num_players: int | None = None
         self.rank: int | None = None
         self._leader = False  # rank == 0, fixed with the rank
@@ -143,18 +153,24 @@ class DpeSdiPolicy:
         self._warm_slot = 0
 
         # Shared (follower-synchronized) state; populated by the bootstrap.
-        # The round plan (profile, rotation table, united-exploration arms) is
-        # a function of the view and is rebuilt only after the view changes.
+        # The plan table and the united-exploration arms are a function of
+        # the view and are rebuilt only after the view changes.
         self.view = SharedInfo()
         self._view_changed = True
-        self._round_slot = 0
-        self._profile: list[int] = []
-        # _rotation[(rank + t) % M] == rotation_arm(rank, t, prefix of _profile)
-        self._rotation: list[int] = []
         self._ue_arms: list[int] = []
         self._single_arm = False  # the view puts every player on one arm
+        # _plans[(rank + t0) % M] is the plan of a round that starts at slot
+        # t0: the arm per round slot, and each slot's count limit, above which
+        # the leader parked (None in a single-arm view). Shared, not copied.
+        self._plans: list[tuple[list[int], list[int] | None]] = []
+        # The current round: its first slot, length, plan and count limits
+        # (None for the leader).
+        self._round_start = 0
+        self._round_slot = 0
+        self._round_len = 0
+        self._plan: list[int] = []
+        self._limits: list[int] | None = None
         self._detected = False
-        self._idle_arm = 0
         self._comm_slot = 0
         self._comm_len = 0  # broadcast slots, known once the news mask is in
         self._nbits = 0
@@ -164,6 +180,9 @@ class DpeSdiPolicy:
         self.stats: PlayerStats | None = None
         self.bounds: CapacityBounds | None = None
         self._bracket_inputs: list[tuple[int, int] | None] = []
+        # Per arm, for closed brackets: [ue_count, capacity, nu_hat, united
+        # radius, least and greatest mu_hat at which the bracket was kept].
+        self._united: list[list | None] = []
         self._order: list[int] = []  # arms by (-mu, k) at the last oracle call
         self._oracle_caps: list[int] | None = None
         self._opt: tuple[tuple[int, ...], int] | None = None  # counts, least
@@ -175,28 +194,73 @@ class DpeSdiPolicy:
     # -- helpers ----------------------------------------------------------
 
     def _plan_round(self) -> None:
-        """Rebuild the round plan from the view; raises on a corrupt view."""
-        self._profile = recover_profile(self.view, self.num_players)
-        self._rotation = [arm for arm, c in enumerate(self._profile) for _ in range(c)]
-        self._ue_arms = [
+        """Rebuild the plan table from the view; raises on a corrupt view."""
+        num_players = self.num_players
+        profile = recover_profile(self.view, num_players)
+        # rotation[(rank + t) % M] == rotation_arm(rank, t, prefix of profile)
+        rotation = [arm for arm, c in enumerate(profile) for _ in range(c)]
+        limits = [profile[arm] for arm in rotation]
+        ue_arms = self._ue_arms = [
             k
             for k in sorted(self.view.optimal_set)
             if self.view.cap_lower[k] != self.view.cap_upper[k]
         ]
         self._single_arm = len(self.view.optimal_set) == 1
+        # Nobody else can exceed the plan's count, nor M in a rally.
+        ue_limits = [num_players] * len(ue_arms)
+        self._plans = [
+            (
+                rotation[b:] + rotation[:b] + ue_arms,
+                None if self._single_arm else limits[b:] + limits[:b] + ue_limits,
+            )
+            for b in range(num_players)
+        ]
         self._view_changed = False
 
-    def _begin_round(self) -> None:
+    def _begin_round(self, t0: int) -> None:
+        """Start a round at slot ``t0``: plan the arm of each of its slots.
+
+        Round slot s < M plays the rotation at slot t0 + s; the united
+        exploration arms follow. The leader draws its probe coins here, in
+        slot order, exactly as stepping the slots would draw them: the view
+        and the probe set cannot change within a round.
+        """
         self._mode = _ROUND
+        self._round_start = t0
         self._round_slot = 0
         self._detected = False
         if self._view_changed:
             self._plan_round()
-        if self._leader and self._pending:
+        num_players = self.num_players
+        self._round_len = num_players + len(self._ue_arms)
+        if not self._leader:
+            self.phase = "explore"
+            self._plan, self._limits = self._plans[(self.rank + t0) % num_players]
+            return
+        if self._pending:
             self.phase = "comm"
             self._park_on_best(self.view.optimal_set)
-        else:
-            self.phase = "explore"
+            self._plan = [self._park_arm] * num_players
+            if self._single_arm:
+                # Parking on P adds nobody; leaving it signals.
+                self._plan[0] = (self._park_arm + 1) % self.num_arms
+            self._round_len = num_players
+            return
+        self.phase = "explore"
+        plan = self._plans[t0 % num_players][0]
+        probes = self._explore_set
+        if probes:
+            plan = plan[:]
+            least, rng = self.view.least_favored, self.rng
+            # No coin for a slot past the horizon, which is never played.
+            for s in range(min(num_players, self.horizon - t0)):
+                if (
+                    plan[s] == least
+                    and (s or not self._single_arm)  # not a false signal
+                    and rng.random() < 0.5
+                ):
+                    plan[s] = probes[int(rng.integers(len(probes)))]
+        self._plan = plan
 
     def _park_on_best(self, arms) -> None:
         """Leader: park on the best empirical mean in ``arms``, lower index on ties."""
@@ -204,6 +268,7 @@ class DpeSdiPolicy:
 
     def _begin_broadcast(self) -> None:
         self._mode = _BROADCAST
+        self._limits = None
         self._comm_slot = 0
         self._comm_len = self.num_arms  # the news mask goes first
         self.phase = "comm"
@@ -230,7 +295,7 @@ class DpeSdiPolicy:
     def _finish_broadcast(self) -> None:
         # The leader applies its own bits, followers the bits they heard.
         self._apply(self._message)
-        self._begin_round()
+        self._begin_round(self._t + 1)
 
     def _apply(self, bits: list[int]) -> None:
         """Decode a broadcast into the view; every player runs this."""
@@ -254,16 +319,35 @@ class DpeSdiPolicy:
         """Refresh bounds, the optimal assignment, the probe set and ``_pending``."""
         stats, bounds = self.stats, self.bounds
         assert stats is not None and bounds is not None
+        # The same floats as stats.mu_hat: warm-up sampled every arm.
+        mu = [total / n for total, n in zip(stats.ie_sum, stats.ie_count)]
         # A bracket update is a function of the arm's sums and counts, and the
         # sums move only with the counts; repeating one changes nothing.
-        seen = self._bracket_inputs
-        for k in range(self.num_arms):
-            if stats.ue_count[k] > 0:
-                inputs = (stats.ie_count[k], stats.ue_count[k])
-                if seen[k] != inputs:
-                    seen[k] = inputs
-                    update_capacity_bounds(stats, k, bounds, self.delta)
-        mu = [stats.mu_hat(k) for k in range(self.num_arms)]
+        seen, united = self._bracket_inputs, self._united
+        for k, n_ue in enumerate(stats.ue_count):
+            if n_ue == 0:
+                continue
+            capacity = bounds.lower[k]
+            if capacity == bounds.upper[k]:
+                # The update's radius adds the individual radius to the united
+                # one: if the united one alone keeps [c, c], so does the update.
+                # That test holds on an interval of mu_hat, so it holds between
+                # two values where it held.
+                kept = united[k]
+                if kept is None or kept[0] != n_ue or kept[1] != capacity:
+                    radius = confidence_radius(n_ue, self.delta)
+                    kept = united[k] = [n_ue, capacity, stats.nu_hat(k), radius, inf, -inf]
+                m = mu[k]
+                if kept[4] <= m <= kept[5]:
+                    continue
+                if closed_bracket_holds(m, kept[2], kept[3], capacity):
+                    kept[4] = min(kept[4], m)
+                    kept[5] = max(kept[5], m)
+                    continue
+            inputs = (stats.ie_count[k], n_ue)
+            if seen[k] != inputs:
+                seen[k] = inputs
+                update_capacity_bounds(stats, k, bounds, self.delta)
         # The oracle's profile and least-favored arm depend only on the arm
         # order by (-mu, k) and on the capacities: reuse them while both hold.
         order = self._order
@@ -298,31 +382,10 @@ class DpeSdiPolicy:
     # -- engine interface --------------------------------------------------
 
     def next_action(self, t: int) -> int:
-        self._t = t
         mode = self._mode
         if mode == _ROUND:
-            s = self._round_slot
-            if s < self.num_players:
-                if self._leader:
-                    if self._pending:
-                        if s == 0 and self._single_arm:
-                            # Parking on P adds nobody; leaving it signals.
-                            return (self._park_arm + 1) % self.num_arms
-                        return self._park_arm
-                    target = self._rotation[t % self.num_players]
-                    if (
-                        target == self.view.least_favored
-                        and self._explore_set
-                        and (s or not self._single_arm)  # not a false signal
-                        and self.rng.random() < 0.5
-                    ):
-                        probes = self._explore_set
-                        return probes[int(self.rng.integers(len(probes)))]
-                    return target
-                if self._detected:
-                    return self._idle_arm
-                return self._rotation[(self.rank + t) % self.num_players]
-            return self._ue_arms[s - self.num_players]
+            return self._plan[self._round_slot]
+        self._t = t
         if mode == _BROADCAST:
             # Followers listen on arm 0; the leader joins it for a 1 bit.
             if self._leader:
@@ -339,9 +402,31 @@ class DpeSdiPolicy:
         raise RuntimeError(f"unknown mode {mode!r}")
 
     def observe(self, obs: Observation) -> None:
+        limits = self._limits
+        if limits is not None:
+            # A follower in a round: only a parked leader raises a count.
+            s = self._round_slot
+            if obs.count > limits[s]:
+                self._detect(s, obs.arm)
+            self._round_slot = s = s + 1
+            if s == self._round_len:
+                self._end_round()
+            return
         mode = self._mode
         if mode == _ROUND:
-            self._observe_round(obs)
+            s = self._round_slot
+            if not self._leader:
+                if s == 0 and obs.count < self.num_players:
+                    # A single-arm view: the leader left the arm to signal.
+                    self._detect(s, obs.arm)
+            elif s >= self.num_players:
+                self.stats.add_united(obs.arm, obs.reward)
+            elif not self._pending and obs.count <= self.bounds.lower[obs.arm]:
+                # Within the known capacity the per-load draw is exact.
+                self.stats.add_individual(obs.arm, obs.reward / obs.count)
+            self._round_slot = s = s + 1
+            if s == self._round_len:
+                self._end_round()
         elif mode == _BROADCAST:
             self._observe_broadcast(obs)
         elif mode == _RALLY:
@@ -358,36 +443,26 @@ class DpeSdiPolicy:
 
     # -- per-mode observation handlers --------------------------------------
 
-    def _observe_round(self, obs: Observation) -> None:
-        s = self._round_slot
-        leader = self._leader
-        if s < self.num_players:
-            if leader:
-                if obs.count <= self.bounds.lower[obs.arm] and not self._pending:
-                    # Within the known capacity the per-load draw is exact.
-                    self.stats.add_individual(obs.arm, obs.reward / obs.count)
-            elif not self._detected and (
-                s == 0 and obs.count < self.num_players
-                if self._single_arm
-                else obs.count > self._profile[obs.arm]
-            ):
-                self._detected = True
-                self._idle_arm = obs.arm
-        elif leader:
-            self.stats.add_united(obs.arm, obs.reward)
-        self._round_slot = s + 1
-        if self._round_slot == self.num_players:
-            if self._detected or (leader and self._pending):
-                self._begin_broadcast()
-            elif not self._ue_arms:
-                self._end_round()
-        elif self._round_slot == self.num_players + len(self._ue_arms):
-            self._end_round()
+    def _detect(self, s: int, arm: int) -> None:
+        """Follower: the leader parked; idle on ``arm`` until the broadcast."""
+        self._detected = True
+        num_players = self.num_players
+        rest = num_players - s - 1
+        # The plan and limits are shared with later rounds: copy, then write.
+        self._plan = self._plan[: s + 1] + [arm] * rest
+        if self._limits is not None:
+            # No count exceeds M: nothing is detected twice.
+            self._limits = self._limits[: s + 1] + [num_players] * rest
+        self._round_len = num_players
 
     def _end_round(self) -> None:
+        self._t = self._round_start + self._round_len - 1  # the round's last slot
+        if self._detected or (self._leader and self._pending):
+            self._begin_broadcast()
+            return
         if self._leader:
             self._leader_update()
-        self._begin_round()
+        self._begin_round(self._t + 1)
 
     def _observe_broadcast(self, obs: Observation) -> None:
         if not self._leader:
@@ -422,6 +497,7 @@ class DpeSdiPolicy:
             self.stats = PlayerStats(self.num_arms)
             self.bounds = CapacityBounds(self.num_arms, self.num_players)
             self._bracket_inputs = [None] * self.num_arms
+            self._united = [None] * self.num_arms
 
     def _observe_warmup(self, obs: Observation) -> None:
         if self._leader:
@@ -432,7 +508,7 @@ class DpeSdiPolicy:
         if self._warm_slot == self.num_arms:
             if self.num_players == 1:
                 self._leader_update()
-                self._begin_round()
+                self._begin_round(self._t + 1)
                 return
             if self._leader:
                 self._leader_update()

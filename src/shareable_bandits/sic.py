@@ -39,7 +39,8 @@ communication:
   fewest that still saturate the arm;
 - upload cells are sized by the largest per-arm load, not by M;
 - means are separated with KL confidence bounds
-  (``stats.means_separated``), not with the Hoeffding radius.
+  (``stats.means_separated``, all pairs at once by
+  ``stats.separated_pairs``), not with the Hoeffding radius.
 
 The same state machine runs unchanged under count (SDI) feedback, where the
 shared flag is implied by the count.
@@ -59,7 +60,7 @@ from .protocol import (
     payload_bits,
     read_broadcast,
 )
-from .stats import CapacityBounds, PlayerStats, means_separated, update_capacity_bounds
+from .stats import CapacityBounds, PlayerStats, separated_pairs, update_capacity_bounds
 
 
 def upload_bits(phase: int, max_load: int) -> int:
@@ -103,12 +104,7 @@ def evaluate_accept_reject(
     the least-favored arm dominates all other active arms and can absorb
     all remaining players by itself.
     """
-    sep = {
-        (k, j): means_separated(mu_hat[k], pulls[k], mu_hat[j], pulls[j], horizon)
-        for k in active
-        for j in active
-        if k != j
-    }
+    sep = separated_pairs(mu_hat, pulls, active, horizon)
     decision = LeaderDecision()
     for k in active:
         tied_upper = upper[k] + sum(upper[j] for j in active if j != k and not sep[k, j])

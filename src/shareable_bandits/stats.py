@@ -108,6 +108,25 @@ def capacity_interval(
     return max(lower, 1), upper
 
 
+def closed_bracket_holds(
+    mu_hat: float, nu_hat: float, radius: float, capacity: int
+) -> bool:
+    """Whether an update with any radius_sum >= ``radius`` keeps [capacity, capacity].
+
+    capacity_interval only widens as its radius grows, float steps included:
+    mu_hat + r and mu_hat - r move monotonically with r, and so do the
+    divisions of nu_hat >= 0 by them, the epsilon shifts, ceil and floor. So
+    when the interval at ``radius`` holds ``capacity``, ``CapacityBounds.update``
+    at a wider radius leaves the closed bracket as it is and warns of no crossing.
+
+    At fixed nu_hat, radius and capacity the answer is True on an interval of
+    mu_hat: the lower end's test can only turn true as mu_hat grows, and the
+    upper end's test only false.
+    """
+    lower, upper = capacity_interval(mu_hat, nu_hat, radius)
+    return lower <= capacity and (upper is None or upper >= capacity)
+
+
 def means_separated(
     mu_k: float, pulls_k: int, mu_j: float, pulls_j: int, horizon: int
 ) -> bool:
@@ -125,6 +144,24 @@ def means_separated(
     """
     lower_k = 1.0 - klucb_index(1.0 - mu_k, pulls_k, horizon)
     return not klucb_at_least(mu_j, pulls_j, klucb_budget(horizon), lower_k)
+
+
+def separated_pairs(
+    mu_hat: dict[int, float], pulls: dict[int, int], arms: list[int], horizon: int
+) -> dict[tuple[int, int], bool]:
+    """``means_separated`` for every ordered pair (k, j) of distinct ``arms``.
+
+    The same answers as pairwise calls, with each arm's lower bound bisected
+    once instead of once per pair.
+    """
+    budget = klucb_budget(horizon)
+    lower = {k: 1.0 - klucb_index(1.0 - mu_hat[k], pulls[k], horizon) for k in arms}
+    return {
+        (k, j): not klucb_at_least(mu_hat[j], pulls[j], budget, lower[k])
+        for k in arms
+        for j in arms
+        if k != j
+    }
 
 
 @dataclass

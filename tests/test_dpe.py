@@ -1,5 +1,8 @@
 import copy
+import dataclasses
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from shareable_bandits.dpe import (
     rotation_arm,
 )
 from shareable_bandits.engine import Observation, PublicEnvInfo, run
+from shareable_bandits.harness import policy_factory
 from shareable_bandits.model import EnvSpec, Feedback, oracle
 from shareable_bandits.protocol import (
     LeaderDecision,
@@ -19,7 +23,14 @@ from shareable_bandits.protocol import (
     bound_bits,
     broadcast_message,
 )
-from shareable_bandits.stats import CapacityBounds, PlayerStats, update_capacity_bounds
+from shareable_bandits.scenarios import load_scenario
+from shareable_bandits.stats import (
+    CapacityBounds,
+    PlayerStats,
+    klucb_at_least,
+    klucb_budget,
+    update_capacity_bounds,
+)
 
 from oracles import simulate_dpe_broadcast
 
@@ -201,22 +212,80 @@ def as_dict(info):
             "lower": info.cap_lower, "upper": info.cap_upper}
 
 
+def planned_player(rng, leader):
+    """The leader or a random follower of a random view, ready to begin a round.
+
+    Returns the player and the prefix sums of the view's profile.
+    """
+    num_arms = int(rng.integers(3, 10))
+    num_players = int(rng.integers(1 if leader else 2, num_arms))
+    rank = 0 if leader else int(rng.integers(1, num_players))
+    env = PublicEnvInfo(num_arms, 1000, Feedback.SDI, np.random.default_rng(0))
+    policy = DpeSdiPolicy(rank, env)
+    policy.num_players, policy.rank, policy._leader = num_players, rank, rank == 0
+    policy.view = random_shared_info(rng, num_arms, num_players)
+    prefix = list(itertools.accumulate(recover_profile(policy.view, num_players)))
+    return policy, prefix
+
+
 class TestRoundPlan:
     def test_rotation_table_matches_rotation_arm(self):
+        """A follower's round plan is the rotation rule slot by slot, then the rallies."""
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            num_arms = int(rng.integers(3, 10))
-            num_players = int(rng.integers(1, num_arms))
-            env = PublicEnvInfo(num_arms, 1000, Feedback.SDI, np.random.default_rng(0))
-            policy = DpeSdiPolicy(0, env)
-            policy.num_players = num_players
-            policy.view = random_shared_info(rng, num_arms, num_players)
-            policy._plan_round()
-            prefix = list(itertools.accumulate(recover_profile(policy.view, num_players)))
-            for rank in range(num_players):
-                for t in range(num_players):
-                    expected = rotation_arm(rank, t, prefix)
-                    assert policy._rotation[(rank + t) % num_players] == expected
+        single = 0
+        for _ in range(300):
+            policy, prefix = planned_player(rng, leader=False)
+            num_players, view = policy.num_players, policy.view
+            t0 = int(rng.integers(0, 10_000))
+            policy._begin_round(t0)
+            ue_arms = sorted(
+                k for k in view.optimal_set if view.cap_lower[k] != view.cap_upper[k]
+            )
+            rotation = [rotation_arm(policy.rank, t0 + s, prefix) for s in range(num_players)]
+            assert policy._plan == rotation + ue_arms
+            assert policy._round_len == num_players + len(ue_arms)
+            if len(view.optimal_set) == 1:
+                assert policy._limits is None
+                single += 1
+            else:
+                counts = recover_profile(view, num_players)
+                assert policy._limits == (
+                    [counts[arm] for arm in rotation] + [num_players] * len(ue_arms)
+                )
+        assert 0 < single < 300
+
+    def test_leader_plan_draws_the_stepped_coins(self):
+        """The leader's plan takes the coins slot by slot would: same calls, same order."""
+        rng = np.random.default_rng(8)
+        probed = 0
+        for trial in range(300):
+            leader, prefix = planned_player(rng, leader=True)
+            num_players, num_arms = leader.num_players, leader.num_arms
+            leader._explore_set = sorted(
+                int(k) for k in rng.choice(num_arms, int(rng.integers(0, 4)), replace=False)
+            )
+            leader.rng = np.random.default_rng(trial)
+            reference = np.random.default_rng(trial)
+            # Some rounds run into the horizon, where no coin may be drawn.
+            t0 = int(rng.integers(leader.horizon - num_players, leader.horizon + 1))
+            if trial % 2:
+                t0 = int(rng.integers(0, leader.horizon - num_players))
+            leader._begin_round(t0)
+            single = len(leader.view.optimal_set) == 1
+            for s in range(min(num_players, leader.horizon - t0)):
+                target = rotation_arm(0, t0 + s, prefix)
+                probes = leader._explore_set
+                if (
+                    target == leader.view.least_favored
+                    and probes
+                    and (s or not single)
+                    and reference.random() < 0.5
+                ):
+                    target = probes[int(reference.integers(len(probes)))]
+                    probed += 1
+                assert leader._plan[s] == target
+            assert leader.rng.bit_generator.state == reference.bit_generator.state
+        assert probed > 20
 
 
 class TestBroadcastProtocol:
@@ -283,7 +352,7 @@ class TestSingleArmView:
 
     VIEW = SharedInfo({2}, 2, [1, 1, 3, 1], [3, 3, 3, 3])  # M = 3, K = 4
 
-    def start_round(self, leader_seed=0):
+    def start_round(self, leader_seed=0, probes=()):
         players = broadcast_players(self.VIEW, num_players=3, num_arms=4)
         leader = players[0]
         leader.rng = np.random.default_rng(leader_seed)
@@ -291,8 +360,9 @@ class TestSingleArmView:
         for k in range(4):
             leader.stats.add_individual(k, 0.5)
         leader.bounds = CapacityBounds(4, 3)
+        leader._explore_set = list(probes)
         for p in players:
-            p._begin_round()
+            p._begin_round(0)
         return players
 
     def play(self, players, t):
@@ -307,18 +377,20 @@ class TestSingleArmView:
         leader = players[0]
         set_target(leader, SharedInfo({0, 2}, 2, [1, 1, 2, 1], [3, 3, 3, 3]))
         leader._pending = True
-        leader._begin_round()
+        leader._begin_round(0)
         for t in range(3):
             self.play(players, t)
         assert [p._mode for p in players] == ["comm-broadcast"] * 3
 
     def test_leader_does_not_probe_at_slot_zero(self):
+        later = set()
         for seed in range(20):
-            players = self.start_round(leader_seed=seed)
-            players[0]._explore_set = [0, 1, 3]
+            players = self.start_round(leader_seed=seed, probes=[0, 1, 3])
             arms = self.play(players, 0)
             assert arms == [2, 2, 2]
             assert not any(p._detected for p in players)
+            later.add(self.play(players, 1)[0])
+        assert later - {2}, "the leader never probed at slot 1"
 
 
 class TestEndToEnd:
@@ -455,22 +527,39 @@ class TestEndToEnd:
         """Whatever the caches skip recomputing would come out the same."""
         spec = make_spec(horizon=3000, **changes)
         num_players = spec.num_players
-        checked = {"leader": 0, "plans": 0}
+        checked = {"leader": 0, "plans": 0, "probe sets": 0}
+        last_mode = {}
 
         def probe(t, policies, counts):
             for p in policies:
+                after_round = last_mode.get(p.rank) == "explore-round"
+                last_mode[p.rank] = p._mode
                 if p._mode != "explore-round" or p._round_slot != 0:
                     continue
                 profile = recover_profile(p.view, num_players)
                 prefix = list(itertools.accumulate(profile))
-                assert p._profile == profile
-                assert p._rotation == [
-                    rotation_arm(0, j, prefix) for j in range(num_players)
-                ]
-                assert p._ue_arms == sorted(
+                ue_arms = sorted(
                     k for k in p.view.optimal_set
                     if p.view.cap_lower[k] != p.view.cap_upper[k]
                 )
+                assert p._ue_arms == ue_arms
+                rotation = [
+                    rotation_arm(p.rank, p._round_start + s, prefix)
+                    for s in range(num_players)
+                ]
+                if p.rank != 0:
+                    assert p._plan == rotation + ue_arms
+                    assert p._limits == (
+                        None if len(p.view.optimal_set) == 1
+                        else [profile[a] for a in rotation] + [num_players] * len(ue_arms)
+                    )
+                elif not p._pending:
+                    # A probe replaces only a slot of the least-favored arm.
+                    assert p._plan[num_players:] == ue_arms
+                    for planned, arm in zip(p._plan, rotation):
+                        assert planned == arm or (
+                            arm == p.view.least_favored and planned in p._explore_set
+                        )
                 checked["plans"] += 1
                 if p.rank != 0:
                     continue
@@ -484,9 +573,19 @@ class TestEndToEnd:
                         update_capacity_bounds(stats, k, fresh, p.delta)
                 assert (fresh.lower, fresh.upper) == (bounds.lower, bounds.upper)
                 checked["leader"] += 1
+                if after_round:
+                    # The probe set was drawn up at the end of the last round.
+                    budget = klucb_budget(p._round_start)
+                    least = opt.least_favored
+                    assert p._explore_set == [
+                        k for k in range(spec.num_arms)
+                        if opt.profile.counts[k] == 0
+                        and klucb_at_least(mu[k], stats.ie_count[k], budget, mu[least])
+                    ]
+                    checked["probe sets"] += 1
 
         run(DpeSdiPolicy, spec, probe=probe)
-        assert checked["leader"] > 10 and checked["plans"] > 10
+        assert min(checked.values()) > 10
 
     def test_converges_on_easy_instance(self):
         spec = make_spec(horizon=4000)
@@ -508,3 +607,30 @@ class TestEndToEnd:
             if leader.stats.ie_count[arm] >= 300:
                 mu_hat = leader.stats.ie_sum[arm] / leader.stats.ie_count[arm]
                 assert mu_hat == pytest.approx(spec.means[arm], abs=0.08)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_dpe.json").read_text())
+
+
+class TestGoldenTrace:
+    """dpe-sdi at seed 0 and horizon 20,000 against a recorded run.
+
+    The checkpoint regrets and player 0's phase transitions were recorded
+    while the players still chose every slot's arm one slot at a time, so a
+    change to how rounds are planned that drifts fails here in seconds.
+    """
+
+    @pytest.mark.parametrize("preset", sorted(GOLDEN))
+    def test_trace_matches_recording(self, preset):
+        scenario = dataclasses.replace(
+            load_scenario(preset), horizon=20_000, checkpoints=[]
+        )
+        trace = run(
+            policy_factory("dpe-sdi", scenario.delta),
+            scenario.env_spec("dpe-sdi", 0),
+            checkpoints=scenario.checkpoints,
+        )
+        recorded = GOLDEN[preset]
+        assert list(trace.checkpoints) == recorded["checkpoints"]
+        assert list(trace.checkpoint_regret) == recorded["checkpoint_regret"]
+        assert [list(e) for e in trace.phase_events] == recorded["phase_events"]

@@ -15,6 +15,7 @@ from shareable_bandits.sic import (
     SicSdaPolicy,
     anchored_arm,
     apply_decision,
+    comm_seat,
     evaluate_accept_reject,
     rank_assign_arm,
     upload_bits,
@@ -414,3 +415,36 @@ class TestCommunicationSeats:
             displaced_slots += any(d for _, _, _, d in players)
         assert min(checked.values()) > 0
         assert displaced_slots > 0
+
+
+class TestUnitedSeats:
+    def test_a_rank_above_the_upper_bound_holds_its_seat(self):
+        """A rally takes ranks up to the arm's upper bound; the rest keep their seats.
+
+        Stepped slot by slot, so ``next_action`` shows each player's arm.
+        """
+        spec = make_spec(num_players=4, capacities=(2, 1, 2, 1, 1), horizon=6000)
+        rows = []
+
+        class Recorded(SicSdaPolicy):
+            def next_action(self, t):
+                arm = super().next_action(t)
+                if self._mode == "explore-united":
+                    rally = self._ue_arms[self._slot % len(self._ue_arms)]
+                    seat = comm_seat(self.rank, self.active, self.lower)
+                    rows.append((self.rank, self.upper[rally], rally, seat, arm))
+                return arm
+
+        opt = optimal_profile_for(spec)
+        naive_run(
+            Recorded, lambda rng: PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng),
+            spec, False, opt.value, opt.profile.counts, [],
+        )
+        seated = 0
+        for rank, upper, rally, seat, arm in rows:
+            if rank <= upper:
+                assert arm == rally
+            else:
+                assert arm == seat
+                seated += seat != rally
+        assert seated > 100

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from shareable_bandits.stats import (
     PlayerStats,
     bern_kl,
     capacity_interval,
+    closed_bracket_holds,
     confidence_radius,
     klucb_at_least,
     klucb_budget,
     klucb_index,
     means_separated,
+    separated_pairs,
     update_capacity_bounds,
 )
 
@@ -139,6 +142,78 @@ class TestCapacityBounds:
         assert b.upper[0] == 3
 
 
+class TestClosedBracketHolds:
+    def test_holds_only_when_the_full_update_is_inert(self, caplog):
+        """Whenever the united radius alone keeps [c, c], the real update does too.
+
+        Random closed brackets, some at the true capacity and some off by
+        one or two so that updates cross; a third of the united means sit on
+        an integer edge of the interval at the united radius.
+        """
+        rng = np.random.default_rng(11)
+        outcomes = Counter()
+        for _ in range(3000):
+            max_units = int(rng.integers(1, 19))
+            c = int(rng.integers(1, max_units + 1))
+            true_c = max(1, c + int(rng.integers(-2, 3)))
+            n_ie, n_ue = (int(10 ** rng.uniform(0, 5)) for _ in range(2))
+            delta = 10 ** -rng.uniform(1, 6)
+            mu = float(rng.uniform(0.0, 1.0))
+            r_ue = confidence_radius(n_ue, delta)
+            nu = true_c * mu * float(rng.uniform(0.9, 1.1))
+            if rng.random() < 1 / 3:
+                edge = (mu + r_ue) if rng.random() < 0.5 else abs(mu - r_ue)
+                nu = (true_c + int(rng.integers(-1, 2))) * edge
+            stats = PlayerStats(1)
+            stats.add_individual(0, mu)
+            stats.ie_count[0] = n_ie
+            stats.ie_sum[0] = mu * n_ie
+            stats.add_united(0, nu * n_ue, n_ue)
+            holds = closed_bracket_holds(stats.mu_hat(0), stats.nu_hat(0), r_ue, c)
+            bounds = CapacityBounds(1, max_units)
+            bounds.lower[0] = bounds.upper[0] = c
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="shareable_bandits.stats"):
+                update_capacity_bounds(stats, 0, bounds, delta)
+            crossed = bool(caplog.records)
+            moved = (bounds.lower[0], bounds.upper[0]) != (c, c)
+            if holds:
+                assert not moved and not crossed, (mu, nu, n_ie, n_ue, delta, c)
+            outcomes[holds, moved or crossed] += 1
+        assert outcomes[True, False] > 300
+        assert outcomes[False, True] > 300  # moved or crossed: never skipped
+        assert outcomes[False, False] > 0  # inert, but only at the full radius
+
+
+    def test_holds_on_an_interval_of_means(self):
+        """Between two means where a closed bracket holds, it holds too.
+
+        Means are drawn near the two edges nu / (mu + r) = c and
+        nu / (mu - r) = c, a few ulps apart, and across [0, 1].
+        """
+        rng = np.random.default_rng(12)
+        edges = 0
+        for _ in range(400):
+            c = int(rng.integers(1, 19))
+            radius = float(10 ** rng.uniform(-4, -0.5))
+            nu = c * float(rng.uniform(0.05, 1.0))
+            mus = list(rng.uniform(0.0, 1.0, 40))
+            for centre in (nu / c - radius, nu / c + radius):
+                for step in range(-3, 4):
+                    mu = centre
+                    for _ in range(abs(step)):
+                        mu = math.nextafter(mu, math.copysign(math.inf, step))
+                    mus.append(mu)
+            mus = sorted(m for m in mus if 0.0 <= m <= 1.0)
+            held = [closed_bracket_holds(m, nu, radius, c) for m in mus]
+            if True in held:
+                first = held.index(True)
+                last = len(held) - 1 - held[::-1].index(True)
+                assert all(held[first : last + 1]), (nu, radius, c)
+                edges += 0 < first or last < len(held) - 1
+        assert edges > 100
+
+
 class TestMeansSeparated:
     def test_identical_stats_not_separated(self):
         assert not means_separated(0.5, 100, 0.5, 100, 10**5)
@@ -158,6 +233,26 @@ class TestMeansSeparated:
     def test_single_sample_never_separates(self):
         assert not means_separated(1.0, 1, 0.0, 1, 10**5)
         assert not means_separated(1.0, 1, 0.0, 10**6, 10**5)
+
+    def test_all_pairs_match_pairwise_calls(self):
+        rng = np.random.default_rng(4)
+        separated = 0
+        for _ in range(200):
+            arms = sorted(int(k) for k in rng.choice(20, int(rng.integers(1, 8)), replace=False))
+            # Tied means and tied pull counts come up often.
+            levels = rng.uniform(0.0, 1.0, 3)
+            mu = {k: float(rng.choice([*levels, 0.0, 1.0])) for k in arms}
+            pulls = {k: int(rng.choice([1, 50, 5_000, 60_000])) for k in arms}
+            horizon = int(rng.choice([1_000, 100_000, 200_000]))
+            sep = separated_pairs(mu, pulls, arms, horizon)
+            assert sep == {
+                (k, j): means_separated(mu[k], pulls[k], mu[j], pulls[j], horizon)
+                for k in arms
+                for j in arms
+                if k != j
+            }
+            separated += sum(sep.values())
+        assert separated > 100
 
 
 class TestCapacityCoverageQuick:

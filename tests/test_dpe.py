@@ -255,7 +255,7 @@ class TestRoundPlan:
         assert 0 < single < 300
 
     def test_leader_plan_draws_the_stepped_coins(self):
-        """The leader's plan takes the coins slot by slot would: same calls, same order."""
+        """The leader's plan draws the coins stepping would: same calls, same order."""
         rng = np.random.default_rng(8)
         probed = 0
         for trial in range(300):

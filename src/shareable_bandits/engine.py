@@ -17,17 +17,15 @@ Three things keep ``run`` cheap without changing a single output value:
   through a fixed tuple of arms whatever it observes (``schedule``), and
   then take those n slots' outcome in one call (``observe_block``): per
   position of the block's period, its interned hit observation, the number
-  of those slots its arm drew 1 and the number of slots. A committed player
-  (``exploit_arm`` set) is an unbounded block with nothing to observe. When
-  every player is committed or states a cycle, the engine takes the
-  shortest block at once, with one plan per position of the period P, the
-  lcm of the cycle lengths. It counts each position's hits on each occupied
-  arm in the drawn chunks, P rows apart, and draws the chunks at the slots
-  stepping would. It adds each position's gap slot by slot, fills the
-  checkpoints and the optimality mask, and keeps calling ``probe`` every
-  slot. When every player has committed, the block runs to the horizon and
-  draws nothing. A player that answers None is stepped, and so is
-  everyone else in that slot.
+  of those slots its arm drew 1 and the number of slots. A player
+  committed for good states one arm to the horizon. When every player
+  states a cycle, the engine takes the shortest block at once, with one
+  plan per position of the period P, the lcm of the cycle lengths. It
+  counts each position's hits on each occupied arm in the drawn chunks, P
+  rows apart, and draws the chunks at the slots stepping would. It adds
+  each position's gap slot by slot, fills the checkpoints and the
+  optimality mask, and keeps calling ``probe`` every slot. A player that
+  answers None is stepped, and so is everyone else in that slot.
 - **Interned observations.** A player's observation depends only on its
   arm, its arm's count and the arm's draw. ``run`` builds the two
   observations for each (arm, count), one for a 0 draw and one for a 1,
@@ -60,7 +58,8 @@ _MAX_PLANS = 4096
 
 
 class InvalidActionError(RuntimeError):
-    """A policy emitted an arm index outside [0, K)."""
+    """A policy emitted an arm index outside [0, K), or a ``schedule`` answer
+    with n < 1 or an empty cycle."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,29 +104,24 @@ class Policy(Protocol):
       means "step me this slot". The query has no side effects: asked
       twice, it answers the same and changes nothing.
     - ``observe_block(outcomes)``: the outcome of a block of such slots at
-      once. The block has period P, the lcm of every uncommitted player's
-      cycle length, and ``outcomes`` holds one ``(obs, hits, slots)`` per
+      once. The block has period P, the lcm of every player's cycle
+      length, and ``outcomes`` holds one ``(obs, hits, slots)`` per
       position j < min(n, P) of it: ``obs`` is the observation of a 1 draw
       on the player's arm at that position, ``arms[j % len(arms)]``, with
       that arm's count there; ``slots`` is the number of the block's slots
       at position j, and ``hits`` the number of those whose draw was 1.
 
-    Once every player is committed or states blocks, the engine asks the
-    uncommitted ones for their schedules in player order. At the first None
-    it steps the slot for everyone, and otherwise it takes the shortest
-    stated block, however short: it calls ``observe_block`` once for it,
-    and no other method in it. ``phase`` is read after a block's last slot,
-    so a policy may change it only at a block end.
-
-    A policy may also have an ``exploit_arm`` attribute, an int or None,
-    read with ``getattr`` before each slot. An int means the player is
-    committed for good: it plays that arm every remaining slot, and the
-    attribute never changes again. The engine treats it as an unbounded
-    block with nothing to observe and calls none of its methods again. A
-    player that must keep observing leaves it unset.
+    When every player states blocks, the engine asks them for their
+    schedules in player order before each slot. At the first None it steps
+    the slot for everyone, and otherwise it takes the shortest stated
+    block, however short: it calls each player's ``observe_block`` once for
+    it, and no other method in it. ``phase`` is read after a block's last
+    slot, so a policy may change it only at a block end. A player committed
+    to one arm for good states ``(T - t, (arm,))``.
 
     The engine reads ``next_action``, ``observe`` and ``schedule`` once
-    per run, before the first slot, and calls those bound methods.
+    per run, before the first slot, and calls those bound methods. It reads
+    no other name of a policy but ``observe_block`` and ``phase``.
     """
 
     def next_action(self, t: int) -> int: ...
@@ -230,9 +224,9 @@ def run(
     (expected-value gap to the optimum) is sampled at ``checkpoints``.
 
     An error raised in a player's method, and the ``InvalidActionError`` of
-    an arm outside [0, K), propagates with the slot (a block's slots for
-    ``observe_block``, its first slot for a stated arm), the player and its
-    phase appended to its message.
+    an arm outside [0, K) or a malformed ``schedule`` answer, propagates
+    with the slot (a block's slots for ``observe_block``, its first slot for
+    a stated answer), the player and its phase appended to its message.
     """
     opt: OptimalProfile = optimal_profile_for(spec)
     fstar = opt.value
@@ -289,6 +283,7 @@ def run(
     next_actions = [p.next_action for p in policies]
     observers = [p.observe for p in policies]
     schedules = [getattr(p, "schedule", None) for p in policies]
+    blocks = None not in schedules  # whether the run can take blocks
 
     def draw(t: int) -> bytes:
         """X_k bytes of the chunk that starts at slot t, K per slot."""
@@ -296,24 +291,17 @@ def run(
 
     draws = b""
     offset = 0
-    first = 0  # players before this index are committed or state blocks
-    live = list(range(M))  # uncommitted players, kept once first == M
+    stray = None  # the player whose schedule answer was malformed
     t = 0
     try:
         while t < T:
-            while first < M and (
-                schedules[first] is not None
-                or getattr(policies[first], "exploit_arm", None) is not None
-            ):
-                first += 1
             stated = None
-            if first == M:
-                # Ask the uncommitted players in order and step the slot at
-                # the first None, so the players after it are not asked.
-                live = [i for i in live if getattr(policies[i], "exploit_arm", None) is None]
+            if blocks:
+                # Ask the players in order and step the slot at the first
+                # None, so the players after it are not asked.
                 stated = []
-                for i in live:
-                    answer = schedules[i](t)
+                for schedule in schedules:
+                    answer = schedule(t)
                     if answer is None:
                         stated = None
                         break
@@ -330,50 +318,47 @@ def run(
                 for observe, a, (miss, hit) in zip(observers, arms, players):
                     observe(hit if row[a] else miss)
             else:
-                # Every uncommitted player stated a cycle: take the shortest
-                # block, to the horizon when all have committed. Its profile
-                # repeats with the period P, the lcm of the cycle lengths.
+                # Every player stated a cycle: take the shortest block. Its
+                # profile repeats with the period P, the lcm of the cycle
+                # lengths.
                 n = T - t
                 period = 1
                 for m, cycle in stated:
                     n = min(n, m)
                     period = lcm(period, len(cycle))
+                if n < 1 or not period:
+                    stray = next(i for i, (m, cycle) in enumerate(stated) if m < 1 or not cycle)
+                    raise InvalidActionError(f"schedule answer {stated[stray]!r} is malformed")
                 width = min(n, period)  # positions the block reaches
-                arms = [getattr(p, "exploit_arm", None) for p in policies]
                 at = []  # the plan of each position
                 for j in range(width):
-                    for i, (_, cycle) in zip(live, stated):
-                        arms[i] = cycle[j % len(cycle)]
+                    arms = [cycle[j % len(cycle)] for _, cycle in stated]
                     at.append(plans.get(tuple(arms)) or plan_for(arms))
                 last = t + n - 1
-                if live:
-                    # Hits per (position, occupied arm), counted in each chunk
-                    # the block spans; chunks are drawn at the slots stepping
-                    # would. Position j's slots are P rows apart.
-                    hits = [
-                        dict.fromkeys([cycle[j % len(cycle)] for _, cycle in stated], 0)
+                # Hits per (position, occupied arm), counted in each chunk the
+                # block spans; chunks are drawn at the slots stepping would.
+                # Position j's slots are P rows apart.
+                hits = [dict.fromkeys(plan[3], 0) for plan in at]
+                stride = K * period
+                s = t
+                while s <= last:
+                    if offset == len(draws):
+                        offset = 0
+                        draws = draw(s)
+                    rows = min(last + 1 - s, (len(draws) - offset) // K)
+                    stop = offset + rows * K
+                    for j, counted in enumerate(hits):
+                        start = offset + (j - (s - t)) % period * K
+                        for a in counted:
+                            counted[a] += draws[start + a : stop : stride].count(1)
+                    offset = stop
+                    s += rows
+                for i, (policy, (_, cycle)) in enumerate(zip(policies, stated)):
+                    size = len(cycle)
+                    policy.observe_block([
+                        (at[j][0][i][1], hits[j][cycle[j % size]], (n - j - 1) // period + 1)
                         for j in range(width)
-                    ]
-                    stride = K * period
-                    s = t
-                    while s <= last:
-                        if offset == len(draws):
-                            offset = 0
-                            draws = draw(s)
-                        rows = min(last + 1 - s, (len(draws) - offset) // K)
-                        stop = offset + rows * K
-                        for j, counted in enumerate(hits):
-                            start = offset + (j - (s - t)) % period * K
-                            for a in counted:
-                                counted[a] += draws[start + a : stop : stride].count(1)
-                        offset = stop
-                        s += rows
-                    for i, (_, cycle) in zip(live, stated):
-                        size = len(cycle)
-                        policies[i].observe_block([
-                            (at[j][0][i][1], hits[j][cycle[j % size]], (n - j - 1) // period + 1)
-                            for j in range(width)
-                        ])
+                    ])
                 # Every slot of the block but its last, which the tail below
                 # takes. Regret is added slot by slot: n * gap rounds otherwise.
                 for j, (_, _, optimal, _) in enumerate(at):
@@ -408,8 +393,11 @@ def run(
         if raised is not None:
             i, method = raised
         elif isinstance(exc, InvalidActionError):
-            # _plan rejected the slot's profile: name the first player off it.
-            i = next(i for i, a in enumerate(arms) if not 0 <= a < K)
+            # A malformed schedule answer, or _plan rejected the slot's
+            # profile: name the first player off it.
+            i = stray
+            if i is None:
+                i = next(i for i, a in enumerate(arms) if not 0 <= a < K)
             method = "next_action"
         else:
             raise

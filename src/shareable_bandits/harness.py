@@ -73,6 +73,7 @@ def run_experiment(
     scenario.validate()
     tasks = [(scenario, alg, seed) for alg in scenario.algorithms for seed in scenario.seeds]
     results: list[RunResult] = []
+    jobs = min(jobs, len(tasks))  # under fork, the first submit starts every worker
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         for res in (pool.map if pool else map)(_run_task, tasks):
             results.append(res)

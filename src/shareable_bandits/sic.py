@@ -227,8 +227,9 @@ class SicSdaPolicy:
     gracefully to the same behaviour (the SDI adapter is this same class).
 
     Each exploration stage is fixed when it starts, so the rest of it is an
-    engine block (``schedule``). Orthogonalization, rank assignment and
-    communication are stepped: a listener reads the shared flag slot by slot.
+    engine block (``schedule``), and so is the exploit phase: one arm to the
+    horizon. Orthogonalization, rank assignment and communication are
+    stepped: a listener reads the shared flag slot by slot.
     """
 
     def __init__(
@@ -422,12 +423,13 @@ class SicSdaPolicy:
     # -- engine interface -----------------------------------------------------
 
     def schedule(self, t: int) -> tuple[int, tuple[int, ...]] | None:
-        """The rest of an exploration stage as an engine block; None otherwise.
+        """The rest of an exploration stage or of the run as an engine block, or None.
 
         Individual exploration: a rotating rank cycles through the active
         arms from ``active[(rank - 1 + t) % K_t]``, an anchor sits still.
         United exploration: everyone cycles through the rally arms, and a
-        rank above an arm's upper bound holds its seat instead.
+        rank above an arm's upper bound holds its seat instead. Exploit: the
+        exploit arm until the horizon.
         """
         mode = self._mode
         if mode == _IE:
@@ -446,10 +448,14 @@ class SicSdaPolicy:
                 arm if self.rank <= self.upper[arm] else self._seat
                 for arm in rally[k:] + rally[:k]
             )
+        if mode == _EXPLOIT:
+            return self.horizon - t, (self.exploit_arm,)
         return None
 
     def observe_block(self, outcomes: list[tuple[Observation, int, int]]) -> None:
         """Fold exploration outcomes, one (hit obs, hits, slots) per position."""
+        if self._mode == _EXPLOIT:
+            return
         if self._mode == _IE:
             if self._anchor is None:
                 sums = self._phase_sums

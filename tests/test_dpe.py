@@ -609,28 +609,41 @@ class TestEndToEnd:
                 assert mu_hat == pytest.approx(spec.means[arm], abs=0.08)
 
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_dpe.json").read_text())
+GOLDEN = json.loads((Path(__file__).parent / "golden_traces.json").read_text())
 
 
 class TestGoldenTrace:
-    """dpe-sdi at seed 0 and horizon 20,000 against a recorded run.
+    """Runs at seed 0 against recorded traces.
 
-    The checkpoint regrets and player 0's phase transitions were recorded
-    while the players still chose every slot's arm one slot at a time, so a
-    change to how rounds are planned that drifts fails here in seconds.
+    dpe-sdi at horizon 20,000 was recorded while the players still chose
+    every slot's arm one slot at a time, so a change to how rounds are
+    planned that drifts fails here in seconds. sic-sda runs each preset's
+    full horizon: on ``synthetic-0.025`` every player commits long before
+    the horizon, on ``cellular-5g4g`` committed players sit beside
+    explorers. Each case pins the checkpoint regrets, player 0's phase
+    transitions and the number of optimal slots.
     """
 
-    @pytest.mark.parametrize("preset", sorted(GOLDEN))
-    def test_trace_matches_recording(self, preset):
+    @staticmethod
+    def check(algorithm, preset):
+        recorded = GOLDEN[algorithm][preset]
         scenario = dataclasses.replace(
-            load_scenario(preset), horizon=20_000, checkpoints=[]
+            load_scenario(preset), horizon=recorded["horizon"], checkpoints=[]
         )
         trace = run(
-            policy_factory("dpe-sdi", scenario.delta),
-            scenario.env_spec("dpe-sdi", 0),
+            policy_factory(algorithm, scenario.delta),
+            scenario.env_spec(algorithm, 0),
             checkpoints=scenario.checkpoints,
         )
-        recorded = GOLDEN[preset]
         assert list(trace.checkpoints) == recorded["checkpoints"]
         assert list(trace.checkpoint_regret) == recorded["checkpoint_regret"]
         assert [list(e) for e in trace.phase_events] == recorded["phase_events"]
+        assert int(trace.optimal_mask.sum()) == recorded["optimal_slots"]
+
+    @pytest.mark.parametrize("preset", sorted(GOLDEN["dpe-sdi"]))
+    def test_trace_matches_recording(self, preset):
+        self.check("dpe-sdi", preset)
+
+    @pytest.mark.parametrize("preset", sorted(GOLDEN["sic-sda"]))
+    def test_sic_trace_matches_recording(self, preset):
+        self.check("sic-sda", preset)

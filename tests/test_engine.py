@@ -236,31 +236,40 @@ class TestRun:
             run(lambda i, env: FixedArmPolicy(i, env, 7 if i == 2 else 0), spec)
 
     def test_aborts_on_out_of_range_block_policy(self):
-        class Stray:
-            """States blocks of four slots; player 1 strays in the block at slot 8."""
+        # Player 1's answer at slot 8, and the start of the error message.
+        strays = {
+            (4, (7,)): r"arm index 7 out of range \[0, 4\)",
+            (0, (1,)): r"schedule answer \(0, \(1,\)\) is malformed",
+            (3, ()): r"schedule answer \(3, \(\)\) is malformed",
+        }
+        for answer, error in strays.items():
 
-            phase = "exploit"
+            class Stray:
+                """States blocks of four slots; player 1 strays in the block at slot 8."""
 
-            def __init__(self, player_id, env):
-                self.player_id = player_id
+                phase = "exploit"
 
-            def next_action(self, t):
-                return 7 if self.player_id == 1 and t >= 8 else self.player_id
+                def __init__(self, player_id, env):
+                    self.player_id = player_id
 
-            def observe(self, obs):
-                pass
+                def next_action(self, t):
+                    return self.player_id
 
-            def schedule(self, t):
-                return 4 - t % 4, (self.next_action(t),)
+                def observe(self, obs):
+                    pass
 
-            def observe_block(self, outcomes):
-                pass
+                def schedule(self, t):
+                    if self.player_id == 1 and t == 8:
+                        return answer
+                    return 4 - t % 4, (self.player_id,)
 
-        with pytest.raises(
-            InvalidActionError,
-            match=r"^arm index 7 out of range \[0, 4\) at slot 8, player 1 in phase 'exploit'",
-        ):
-            run(Stray, make_spec(horizon=20))
+                def observe_block(self, outcomes):
+                    pass
+
+            with pytest.raises(
+                InvalidActionError, match=rf"^{error} at slot 8, player 1 in phase 'exploit'$"
+            ):
+                run(Stray, make_spec(horizon=20))
 
     @pytest.mark.parametrize(
         "blocks, where", [(False, "slot 7"), (True, "slots 5-9")], ids=["stepped", "block"]
@@ -307,33 +316,44 @@ class TestRun:
 class CommittingPolicy:
     """Plays ``arm`` until ``commit_at``; that slot's observe commits it to ``target``.
 
-    ``calls`` collects (player, method, slot) for every engine call.
+    Once committed, it states ``target`` until the horizon. ``calls``
+    collects (player, method, slot) for every ``next_action`` and
+    ``observe``, and ``blocks`` the (first slot, n) of every block outcome.
     """
 
-    def __init__(self, player_id, arm, commit_at, target, calls):
+    def __init__(self, player_id, env, arm, commit_at, target, calls):
         self.player_id = player_id
+        self.horizon = env.horizon
         self.arm = arm
         self.commit_at = commit_at
         self.target = target
         self.calls = calls
         self.phase = "explore"
-        self.exploit_arm = None
-        self._t = -1
+        self.blocks = []
+        self._t = 0  # the next slot it plays
 
     def next_action(self, t):
         self._t = t
         self.calls.append((self.player_id, "next_action", t))
-        return self.arm if self.exploit_arm is None else self.exploit_arm
+        return self.target if self.phase == "exploit" else self.arm
 
     def observe(self, obs):
         self.calls.append((self.player_id, "observe", self._t))
         if self._t == self.commit_at:
-            self.exploit_arm = self.target
             self.phase = "exploit"
+        self._t += 1
+
+    def schedule(self, t):
+        return (self.horizon - t, (self.target,)) if self.phase == "exploit" else None
+
+    def observe_block(self, outcomes):
+        n = sum(slots for _, _, slots in outcomes)
+        self.blocks.append((self._t, n))
+        self._t += n
 
 
 class TestFastForward:
-    """Once every player has set ``exploit_arm``, no policy is called."""
+    """Once every player has committed, the rest of the run is one block."""
 
     # Optimum {0: 2, 1: 1}, worth 2.6. Everyone starts on arm 3; players
     # commit out of order, and in its commit slot each still plays arm 3.
@@ -342,33 +362,35 @@ class TestFastForward:
 
     def simulate(self, commit_at, horizon=50):
         spec = make_spec(horizon=horizon)
-        calls, probed = [], []
+        calls, probed, players = [], [], []
 
         def factory(i, env):
-            return CommittingPolicy(i, 3, commit_at[i], self.TARGETS[i], calls)
+            players.append(CommittingPolicy(i, env, 3, commit_at[i], self.TARGETS[i], calls))
+            return players[-1]
 
         def probe(t, policies, counts):
             probed.append((t, dict(counts)))
 
         trace = run(factory, spec, checkpoints=[5, 13, 30, horizon], probe=probe)
-        return trace, calls, probed
+        return trace, calls, probed, players
 
-    def test_no_policy_call_after_every_player_commits(self):
-        trace, calls, _ = self.simulate(self.COMMIT_AT)
+    def test_one_block_after_every_player_commits(self):
+        _, calls, _, players = self.simulate(self.COMMIT_AT)
         assert max(t for _, _, t in calls) == 12
         for i in range(3):
             for method in ("next_action", "observe"):
                 slots = [t for p, m, t in calls if p == i and m == method]
                 assert slots == list(range(13))
+            assert players[i].blocks == [(13, 37)]  # slots 13-49
 
     def test_probe_sees_every_slot_with_the_committed_counts(self):
-        _, _, probed = self.simulate(self.COMMIT_AT)
+        _, _, probed, _ = self.simulate(self.COMMIT_AT)
         assert [t for t, _ in probed] == list(range(50))
         assert probed[12][1] == {0: 2, 3: 1}  # player 2 still on arm 3
         assert all(counts == {0: 2, 1: 1} for _, counts in probed[13:])
 
     def test_trace_matches_closed_form(self):
-        trace, _, _ = self.simulate(self.COMMIT_AT)
+        trace, _, _, _ = self.simulate(self.COMMIT_AT)
         # gaps: 2.6 - 0.2 in slots 0-5, 2.6 - 1.1 in 6-9, 2.6 - 2.0 in 10-12
         early = 6 * 2.4
         committed = early + 4 * 1.5 + 3 * 0.6
@@ -384,17 +406,18 @@ class TestFastForward:
         assert trace.phase_events == ((0, "explore"), (9, "exploit"))
 
     def test_one_uncommitted_player_keeps_everyone_stepping(self):
-        trace, calls, probed = self.simulate((9, 5, None))
+        trace, calls, probed, players = self.simulate((9, 5, None))
         for i in range(3):
             slots = [t for p, m, t in calls if p == i and m == "observe"]
             assert slots == list(range(50))
+            assert players[i].blocks == []
         assert len(probed) == 50
         assert all(counts == {0: 2, 3: 1} for _, counts in probed[10:])
         assert trace.final_regret == pytest.approx(6 * 2.4 + 4 * 1.5 + 40 * 0.6)
 
 
 # (algorithm, spec overrides). SIC players all commit by slot 1,756 and
-# 2,730 of 6,000 in the first two, so most of those runs are fast-forwarded.
+# 2,730 of 6,000 in the first two, so the rest of those runs is one block.
 NAIVE_CASES = [
     ("sic-sda", dict(means=(0.9, 0.6, 0.3, 0.1), capacities=(2, 1, 1, 1), horizon=6000, seed=1)),
     ("sic-sdi", dict(means=(0.9, 0.6, 0.3, 0.1), capacities=(2, 1, 1, 1), horizon=6000, seed=2)),
@@ -603,11 +626,11 @@ class TestMixedBlocks:
         def make(i, env):
             if i == 1:
                 return BlockPolicy(i, (1,), 4, calls)
-            return CommittingPolicy(i, 3, 9 if i == 0 else 5, 0, calls)
+            return CommittingPolicy(i, env, 3, 9 if i == 0 else 5, 0, calls)
 
         return make
 
-    def test_committed_players_are_not_called_in_blocks(self):
+    def test_committed_players_take_one_outcome_per_block(self):
         calls, probed, grabbed = [], [], []
 
         def probe(t, policies, counts):
@@ -619,10 +642,10 @@ class TestMixedBlocks:
         for i in (0, 2):
             assert max(t for p, _, t in calls if p == i) == 9
         # Stepped until every committing player has committed, then blocks
-        # 10-11, 12-15, ..., 44-47 and 48-49.
+        # 10-11, 12-15, ..., 44-47 and 48-49, each one outcome per player.
         assert [t for p, m, t in calls if m == "observe" and p == 1] == list(range(10))
         blocks = [(10, 2), *((t, 4) for t in range(12, 48, 4)), (48, 2)]
-        assert grabbed[1].blocks == blocks
+        assert [player.blocks for player in grabbed] == [blocks] * 3
 
     def test_trace_equals_naive_loop(self):
         assert_run_equals_naive_loop(self.factory([]), make_spec(horizon=50))
@@ -644,7 +667,7 @@ class TestCycleBlocks:
         def make(i, env):
             if i in self.CYCLES:
                 return BlockPolicy(i, self.CYCLES[i], 8, calls)
-            return CommittingPolicy(i, 3, 9, 0, calls)
+            return CommittingPolicy(i, env, 3, 9, 0, calls)
 
         return make
 
@@ -662,6 +685,7 @@ class TestCycleBlocks:
         spec = make_spec(horizon=50)
         run(self.factory([]), spec, probe=probe)
         starts = [(10, 6), (16, 8), (24, 8), (32, 8), (40, 8), (48, 2)]
+        assert grabbed[0].blocks == starts
         for i, cycle in self.CYCLES.items():
             player = grabbed[i]
             assert player.blocks == starts
@@ -678,6 +702,37 @@ class TestCycleBlocks:
 
 
 class TestIsolation:
+    @pytest.mark.parametrize("blocks", [False, True], ids=["stepped", "blocks"])
+    def test_engine_reads_only_the_contract(self, blocks):
+        """``run`` reads no name of a player outside the ``Policy`` contract."""
+        read = set()
+
+        class Logged:
+            phase = "explore"
+
+            def __init__(self, player_id, env):
+                pass
+
+            def __getattribute__(self, name):
+                read.add(name)
+                return object.__getattribute__(self, name)
+
+            def next_action(self, t):
+                return 0
+
+            def observe(self, obs):
+                pass
+
+            def schedule(self, t):
+                return (4 - t % 4, (0,)) if blocks else None
+
+            def observe_block(self, outcomes):
+                pass
+
+        run(Logged, make_spec(horizon=50))
+        contract = {"next_action", "observe", "schedule", "phase"}
+        assert read == (contract | {"observe_block"} if blocks else contract)
+
     def test_public_env_info_excludes_ground_truth(self):
         names = {f.name for f in dataclasses.fields(PublicEnvInfo)}
         assert "means" not in names

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shareable_bandits import harness
 from shareable_bandits.cli import main
 from shareable_bandits.harness import aggregate, emit_outputs, run_experiment
 from shareable_bandits.scenarios import (
@@ -190,6 +191,30 @@ class TestRunExperiment:
         assert sorted((r.algorithm, r.seed, r.final_regret) for r in res1) == sorted(
             (r.algorithm, r.seed, r.final_regret) for r in res2
         )
+
+    def test_pool_holds_no_more_workers_than_runs(self, monkeypatch):
+        sizes = []
+
+        class Pool:
+            """Records its size and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        _, results = run_experiment(tiny_scenario(), jobs=16)
+        assert sizes == [len(results)] == [4]
+        _, results = run_experiment(tiny_scenario(algorithms=["dpe-sdi"], seeds=[0]), jobs=16)
+        assert sizes == [4] and len(results) == 1  # one run stays in this process
 
 
 class TestEmitOutputs:

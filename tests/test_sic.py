@@ -361,8 +361,8 @@ class TestSchedule:
             Checked, lambda rng: PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng),
             spec, False, opt.value, opt.profile.counts, [],
         )
-        stepped = {"orthogonalize", "rank-assign", "comm-upload", "comm-broadcast", "exploit"}
-        blocks = {"explore-individual", "explore-united"}
+        stepped = {"orthogonalize", "rank-assign", "comm-upload", "comm-broadcast"}
+        blocks = {"explore-individual", "explore-united", "exploit"}
         assert modes == {(m, True) for m in stepped} | {(m, False) for m in blocks}
 
 

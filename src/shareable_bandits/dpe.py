@@ -19,7 +19,9 @@ listen together on arm 0 and read a 1 when its count is M; the leader
 joins arm 0 for a 1 bit and sits on arm 1 for a 0 bit. One round carries
 the whole change. In a view that puts every player on one arm P, parking
 adds nobody to P's count, so the leader instead signals by leaving P at
-round slot 0.
+round slot 0. A follower that notices the park keeps playing its planned
+arms instead of idling on the park arm, so no round's plan is rewritten
+after it starts.
 """
 
 from __future__ import annotations
@@ -126,8 +128,9 @@ class DpeSdiPolicy:
     follower takes from a table built once per view, and which the leader
     takes from the same table after drawing its probe coins. In the round,
     ``next_action`` is one list lookup, and a follower's ``observe`` compares
-    the count with the planned slot's limit; after a detection it idles on
-    that arm for the rest of the round's first M slots.
+    the count with the planned slot's limit. After a detection it keeps its
+    planned arms and ends the round after its first M slots, as the parked
+    leader does; no plan is written after its round starts.
     """
 
     def __init__(
@@ -161,7 +164,7 @@ class DpeSdiPolicy:
         self._single_arm = False  # the view puts every player on one arm
         # _plans[(rank + t0) % M] is the plan of a round that starts at slot
         # t0: the arm per round slot, and each slot's count limit, above which
-        # the leader parked (None in a single-arm view). Shared, not copied.
+        # the leader parked (None in a single-arm view). Shared, never written.
         self._plans: list[tuple[list[int], list[int] | None]] = []
         # The current round: its first slot, length, plan and count limits
         # (None for the leader).
@@ -170,7 +173,7 @@ class DpeSdiPolicy:
         self._round_len = 0
         self._plan: list[int] = []
         self._limits: list[int] | None = None
-        self._detected = False
+        self._pending = False  # a broadcast follows: leader's news, or a park seen
         self._comm_slot = 0
         self._comm_len = 0  # broadcast slots, known once the news mask is in
         self._nbits = 0
@@ -188,7 +191,6 @@ class DpeSdiPolicy:
         self._opt: tuple[tuple[int, ...], int] | None = None  # counts, least
         self._opt_set: set[int] = set()  # arms with a positive count in _opt
         self._explore_set: list[int] = []
-        self._pending = False
         self._park_arm = 0
 
     # -- helpers ----------------------------------------------------------
@@ -228,7 +230,6 @@ class DpeSdiPolicy:
         self._mode = _ROUND
         self._round_start = t0
         self._round_slot = 0
-        self._detected = False
         if self._view_changed:
             self._plan_round()
         num_players = self.num_players
@@ -407,7 +408,7 @@ class DpeSdiPolicy:
             # A follower in a round: only a parked leader raises a count.
             s = self._round_slot
             if obs.count > limits[s]:
-                self._detect(s, obs.arm)
+                self._detect()
             self._round_slot = s = s + 1
             if s == self._round_len:
                 self._end_round()
@@ -418,7 +419,7 @@ class DpeSdiPolicy:
             if not self._leader:
                 if s == 0 and obs.count < self.num_players:
                     # A single-arm view: the leader left the arm to signal.
-                    self._detect(s, obs.arm)
+                    self._detect()
             elif s >= self.num_players:
                 self.stats.add_united(obs.arm, obs.reward)
             elif not self._pending and obs.count <= self.bounds.lower[obs.arm]:
@@ -443,21 +444,14 @@ class DpeSdiPolicy:
 
     # -- per-mode observation handlers --------------------------------------
 
-    def _detect(self, s: int, arm: int) -> None:
-        """Follower: the leader parked; idle on ``arm`` until the broadcast."""
-        self._detected = True
-        num_players = self.num_players
-        rest = num_players - s - 1
-        # The plan and limits are shared with later rounds: copy, then write.
-        self._plan = self._plan[: s + 1] + [arm] * rest
-        if self._limits is not None:
-            # No count exceeds M: nothing is detected twice.
-            self._limits = self._limits[: s + 1] + [num_players] * rest
-        self._round_len = num_players
+    def _detect(self) -> None:
+        """Follower: the leader parked; keep the plan, broadcast after M slots."""
+        self._pending = True
+        self._round_len = self.num_players
 
     def _end_round(self) -> None:
         self._t = self._round_start + self._round_len - 1  # the round's last slot
-        if self._detected or (self._leader and self._pending):
+        if self._pending:
             self._begin_broadcast()
             return
         if self._leader:

@@ -75,6 +75,9 @@ class Scenario:
             )
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ScenarioError(f"delta must lie in (0, 1), got {self.delta}")
+        for name in ("algorithms", "seeds", "checkpoints"):
+            if isinstance(getattr(self, name), str):  # would iterate as characters
+                raise ScenarioError(f"{name} must be a list, got {getattr(self, name)!r}")
         if any(not is_integral(s) or s < 0 for s in self.seeds):
             raise ScenarioError(f"seeds must be non-negative integers, got {self.seeds}")
         for name in ("seeds", "algorithms"):

@@ -6,6 +6,7 @@ tolerance. Heavy simulation batches are shared across criteria via
 module-scoped fixtures.
 """
 
+import dataclasses
 import functools
 import math
 import statistics
@@ -17,7 +18,7 @@ import pytest
 from shareable_bandits.baselines import HighestRewardPolicy, IdlestArmPolicy
 from shareable_bandits.dpe import DpeSdiPolicy
 from shareable_bandits.engine import Observation, PublicEnvInfo, run
-from shareable_bandits.harness import run_one
+from shareable_bandits.harness import run_experiment
 from shareable_bandits.model import EnvSpec, Feedback, oracle
 from shareable_bandits.protocol import (
     LeaderDecision,
@@ -50,26 +51,18 @@ def report(num: int, ok: bool, detail: str) -> bool:
 # -- shared heavy batches ----------------------------------------------------
 
 
-def _sweep(scenario_name, algorithms, seeds, checkpoints, horizon=None):
-    from concurrent.futures import ProcessPoolExecutor
-
-    sc = preset_scenarios()[scenario_name]
-    sc.checkpoints = checkpoints
-    if horizon is not None:
-        sc.horizon = horizon
-        sc.checkpoints = [c for c in checkpoints if c <= horizon]
-    sc.seeds = list(seeds)
-    tasks = [(sc, alg, seed) for alg in algorithms for seed in seeds]
-    with ProcessPoolExecutor(max_workers=JOBS) as pool:
-        results = list(pool.map(_run_task, tasks))
+def _sweep(scenario_name, algorithms, seeds, checkpoints):
+    sc = dataclasses.replace(
+        preset_scenarios()[scenario_name],
+        algorithms=algorithms,
+        seeds=list(seeds),
+        checkpoints=checkpoints,
+    )
+    _, results = run_experiment(sc, jobs=JOBS)
     out: dict[str, list] = {alg: [] for alg in algorithms}
     for res in results:
         out[res.algorithm].append(res)
     return out
-
-
-def _run_task(args):
-    return run_one(*args)
 
 
 @pytest.fixture(scope="module")
@@ -522,7 +515,6 @@ def test_criterion_9_application_scenarios(application_runs):
 
 
 def test_criterion_10_decentralization_audit():
-    import dataclasses
     import inspect
 
     env_fields = {f.name for f in dataclasses.fields(PublicEnvInfo)}

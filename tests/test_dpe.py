@@ -49,6 +49,11 @@ def make_spec(**kw):
     return EnvSpec(**base)
 
 
+# A run in which some views put both players on one arm.
+SEED_47_SPEC = EnvSpec(7, 2, (0.62, 0.53, 0.36, 0.0, 0.39, 0.43, 0.41),
+                       (1, 2, 1, 2, 1, 2, 1), 2795, feedback="sdi", seed=47)
+
+
 def make_env(spec, seed=0):
     return PublicEnvInfo(
         num_arms=spec.num_arms,
@@ -388,7 +393,7 @@ class TestSingleArmView:
             players = self.start_round(leader_seed=seed, probes=[0, 1, 3])
             arms = self.play(players, 0)
             assert arms == [2, 2, 2]
-            assert not any(p._detected for p in players)
+            assert not any(p._pending for p in players)
             later.add(self.play(players, 1)[0])
         assert later - {2}, "the leader never probed at slot 1"
 
@@ -470,8 +475,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize(
         "spec",
         [
-            EnvSpec(7, 2, (0.62, 0.53, 0.36, 0.0, 0.39, 0.43, 0.41),
-                    (1, 2, 1, 2, 1, 2, 1), 2795, feedback="sdi", seed=47),
+            SEED_47_SPEC,
             EnvSpec(7, 2, (0.58, 0.93, 0.15, 0.95, 0.46, 0.16, 0.78),
                     (2, 2, 2, 2, 1, 1, 1), 2991, feedback="sdi", seed=54),
             EnvSpec(8, 2, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0),
@@ -507,11 +511,44 @@ class TestEndToEnd:
             if leader is None or leader._mode != "explore-round":
                 return
             for p in policies:
-                if p.rank not in (None, 0) and p._detected and not leader._pending:
+                if p.rank not in (None, 0) and p._pending and not leader._pending:
                     bad.append(t)
 
         run(DpeSdiPolicy, spec, probe=probe)
         assert bad == []
+
+    @pytest.mark.parametrize(
+        "spec", [make_spec(), SEED_47_SPEC], ids=["make-spec", "single-arm-seed-47"]
+    )
+    def test_parking_round_keeps_the_plan(self, spec):
+        """A follower that sees the park keeps its planned arms, and every
+        player starts the broadcast in the same slot."""
+        num_players = spec.num_players
+        rounds = {}  # slot -> per player (rank, leader parked, planned, played)
+        broadcasts = {}  # rank -> slots at which its broadcasts started
+
+        class Logged(DpeSdiPolicy):
+            def next_action(self, t):
+                arm = super().next_action(t)
+                if self._mode == "explore-round":
+                    plan = self._plans[(self.rank + self._round_start) % num_players][0]
+                    rounds.setdefault(t, []).append(
+                        (self.rank, self._leader and self._pending,
+                         plan[self._round_slot], arm)
+                    )
+                elif self._mode == "comm-broadcast" and self._comm_slot == 0:
+                    broadcasts.setdefault(self.rank, []).append(t)
+                return arm
+
+        run(Logged, spec)
+        parking = [slot for slot in rounds.values() if any(row[1] for row in slot)]
+        assert len(parking) >= 10 * num_players
+        for slot in parking:
+            assert len(slot) == num_players
+            for rank, _, planned, arm in slot:
+                assert rank == 0 or arm == planned
+        assert len(broadcasts) == num_players
+        assert len({tuple(starts) for starts in broadcasts.values()}) == 1
 
     @pytest.mark.parametrize(
         "changes",
@@ -615,13 +652,15 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_traces.json").read_text())
 class TestGoldenTrace:
     """Runs at seed 0 against recorded traces.
 
-    dpe-sdi at horizon 20,000 was recorded while the players still chose
-    every slot's arm one slot at a time, so a change to how rounds are
-    planned that drifts fails here in seconds. sic-sda runs each preset's
-    full horizon: on ``synthetic-0.025`` every player commits long before
-    the horizon, on ``cellular-5g4g`` committed players sit beside
-    explorers. Each case pins the checkpoint regrets, player 0's phase
-    transitions and the number of optimal slots.
+    dpe-sdi runs at horizon 20,000. Its phase events were recorded while the
+    players still chose every slot's arm one slot at a time, so a change to
+    how rounds are planned that drifts fails here in seconds; its regrets and
+    optimal slots were recorded once followers that see the park kept their
+    planned arms. sic-sda runs each preset's full horizon: on
+    ``synthetic-0.025`` every player commits long before the horizon, on
+    ``cellular-5g4g`` committed players sit beside explorers. Each case pins
+    the checkpoint regrets, player 0's phase transitions and the number of
+    optimal slots.
     """
 
     @staticmethod

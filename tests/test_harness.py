@@ -107,6 +107,11 @@ class TestScenarioValidation:
             (dict(means=[0.9, 0.6, 0.3, True]), "means"),
             (dict(permute_means="false"), "permute_means"),
             (dict(permute_means=0), "permute_means"),
+            (dict(algorithms="dpe-sdi"), "algorithms must be a list"),
+            (dict(algorithms="sic"), "algorithms must be a list"),
+            (dict(seeds="0"), "seeds must be a list"),
+            (dict(checkpoints="400"), "checkpoints must be a list"),
+            (dict(checkpoints=""), "checkpoints must be a list"),
         ],
         ids=["infeasible-capacity", "zero-horizon", "negative-horizon", "delta-two",
              "delta-zero", "negative-seed", "fractional-seed", "fractional-capacity",
@@ -114,7 +119,8 @@ class TestScenarioValidation:
              "bool-players", "fractional-checkpoint", "no-seeds", "repeated-seed",
              "bool-seed", "negative-numpy-seed", "numpy-bool-seed", "no-algorithms",
              "repeated-algorithm", "string-mean", "bool-mean", "string-permute-means",
-             "int-permute-means"],
+             "int-permute-means", "string-algorithms", "string-algorithms-sic",
+             "string-seeds", "string-checkpoints", "empty-string-checkpoints"],
     )
     def test_invalid_input_rejected(self, changes, match):
         with pytest.raises(ScenarioError, match=match):
@@ -284,6 +290,10 @@ class TestCli:
             ({"means": [0.9, 0.6, 0.3, True]}, ["run"]),
             ({"permute_means": "false"}, ["validate"]),
             ({"permute_means": "false"}, ["run"]),
+            ({"algorithms": "dpe-sdi"}, ["validate"]),
+            ({"algorithms": "sic"}, ["validate"]),
+            ({"seeds": "0"}, ["validate"]),
+            ({"checkpoints": "400"}, ["validate"]),
         ],
         ids=["short-capacities", "zero-horizon", "delta-two", "negative-seed",
              "fractional-capacity", "fractional-horizon", "fractional-checkpoint",
@@ -291,7 +301,9 @@ class TestCli:
              "run-fractional-capacity", "run-fractional-horizon",
              "run-fractional-checkpoint", "run-no-seeds", "run-repeated-seed",
              "run-repeated-algorithm", "string-mean", "bool-mean", "run-string-mean",
-             "run-bool-mean", "string-permute-means", "run-string-permute-means"],
+             "run-bool-mean", "string-permute-means", "run-string-permute-means",
+             "string-algorithms", "string-algorithms-sic", "string-seeds",
+             "string-checkpoints"],
     )
     def test_validate_bad_file(self, tmp_path, capsys, changes, command):
         data = json.loads(tiny_scenario().to_json())

@@ -20,8 +20,10 @@ joins arm 0 for a 1 bit and sits on arm 1 for a 0 bit. One round carries
 the whole change. In a view that puts every player on one arm P, parking
 adds nobody to P's count, so the leader instead signals by leaving P at
 round slot 0. A follower that notices the park keeps playing its planned
-arms instead of idling on the park arm, so no round's plan is rewritten
-after it starts.
+arms instead of idling on the park arm.
+
+Every stretch but orthogonalization (rally, warm-up, bootstrap park,
+broadcast, round) is planned when it starts, and no plan is rewritten after.
 """
 
 from __future__ import annotations
@@ -94,21 +96,6 @@ def recover_profile(info: SharedInfo, num_players: int) -> list[int]:
     return counts
 
 
-def rotation_arm(rank: int, t: int, prefix: list[int]) -> int:
-    """Arm assigned to ``rank`` at slot ``t`` by the rotation rule.
-
-    ``prefix`` holds cumulative assignment counts; ranks circulate so that
-    each slot realizes the assignment exactly and over M consecutive slots
-    every player serves every arm its full share.
-    """
-    num_players = prefix[-1]
-    c = (rank + t) % num_players + 1
-    for arm, total in enumerate(prefix):
-        if total >= c:
-            return arm
-    raise ProtocolCorruptionError("rotation rank exceeded assignment total")
-
-
 # Internal mode tags for the per-player state machine.
 _RALLY = "rally"
 _ORTHO = "orthogonalize"
@@ -124,13 +111,19 @@ class DpeSdiPolicy:
     Only ``next_action``/``observe`` touch the engine. Everything else is
     derived from the player's own observations, so instances share nothing.
 
-    A round is planned whole when it starts: its arm for every slot, which a
-    follower takes from a table built once per view, and which the leader
-    takes from the same table after drawing its probe coins. In the round,
-    ``next_action`` is one list lookup, and a follower's ``observe`` compares
-    the count with the planned slot's limit. After a detection it keeps its
-    planned arms and ends the round after its first M slots, as the parked
-    leader does; no plan is written after its round starts.
+    Every stretch but orthogonalization (the rally, the warm-up sweep, the
+    bootstrap park, each broadcast and each round) is planned whole when it
+    starts: the arm of each of its slots, its first slot and its length. In
+    a stretch, ``next_action`` is one list lookup; ``observe`` books what the
+    mode observes, advances the slot counter and, at the length, calls the
+    one handler that begins the next stretch. A round's plan comes from a
+    table built once per view, into which the leader draws its probe coins
+    when the round starts, and a follower compares each count with the
+    planned slot's limit. After a detection it keeps its planned arms and
+    ends the round after its first M slots, as the parked leader does. A
+    broadcast is K slots long until the news mask is in, which sizes the
+    rest; a follower's plan covers the longest message. No plan is written
+    after its stretch starts.
     """
 
     def __init__(
@@ -146,14 +139,22 @@ class DpeSdiPolicy:
         self.delta = 2.0 / env.horizon if delta is None else delta
 
         self.phase = "init"
-        self._mode = _RALLY
-        self._t = 0  # the last slot played; in a round, set when it ends
         self.num_players: int | None = None
         self.rank: int | None = None
         self._leader = False  # rank == 0, fixed with the rank
-
         self._ortho: Orthogonalization | None = None
-        self._warm_slot = 0
+
+        # The current stretch: its mode, its arm per slot, its first slot,
+        # the slots it has played and its length. The rally is one slot.
+        self._mode = _RALLY
+        self._plan: list[int] = [0]
+        self._start = 0
+        self._slot = 0
+        self._len = 1
+        self._limits: list[int] | None = None  # a follower's round: count limits
+        self._pending = False  # a broadcast follows: leader's news, or a park seen
+        self._nbits = 0
+        self._message: list[int] = []  # leader: bits to send; follower: heard
 
         # Shared (follower-synchronized) state; populated by the bootstrap.
         # The plan table and the united-exploration arms are a function of
@@ -166,18 +167,6 @@ class DpeSdiPolicy:
         # t0: the arm per round slot, and each slot's count limit, above which
         # the leader parked (None in a single-arm view). Shared, never written.
         self._plans: list[tuple[list[int], list[int] | None]] = []
-        # The current round: its first slot, length, plan and count limits
-        # (None for the leader).
-        self._round_start = 0
-        self._round_slot = 0
-        self._round_len = 0
-        self._plan: list[int] = []
-        self._limits: list[int] | None = None
-        self._pending = False  # a broadcast follows: leader's news, or a park seen
-        self._comm_slot = 0
-        self._comm_len = 0  # broadcast slots, known once the news mask is in
-        self._nbits = 0
-        self._message: list[int] = []  # leader: bits to send; follower: heard
 
         # Leader-only state.
         self.stats: PlayerStats | None = None
@@ -199,7 +188,8 @@ class DpeSdiPolicy:
         """Rebuild the plan table from the view; raises on a corrupt view."""
         num_players = self.num_players
         profile = recover_profile(self.view, num_players)
-        # rotation[(rank + t) % M] == rotation_arm(rank, t, prefix of profile)
+        # Rank r plays rotation[(r + t) % M] at slot t: every slot realizes
+        # the profile, and over M slots each rank serves each arm its share.
         rotation = [arm for arm, c in enumerate(profile) for _ in range(c)]
         limits = [profile[arm] for arm in rotation]
         ue_arms = self._ue_arms = [
@@ -219,6 +209,14 @@ class DpeSdiPolicy:
         ]
         self._view_changed = False
 
+    def _begin(self, mode: str, t0: int, plan: list[int]) -> None:
+        """Start a stretch of ``mode`` at slot ``t0`` that plays ``plan``."""
+        self._mode = mode
+        self._plan = plan
+        self._start = t0
+        self._slot = 0
+        self._len = len(plan)
+
     def _begin_round(self, t0: int) -> None:
         """Start a round at slot ``t0``: plan the arm of each of its slots.
 
@@ -227,53 +225,54 @@ class DpeSdiPolicy:
         slot order, exactly as stepping the slots would draw them: the view
         and the probe set cannot change within a round.
         """
-        self._mode = _ROUND
-        self._round_start = t0
-        self._round_slot = 0
         if self._view_changed:
             self._plan_round()
         num_players = self.num_players
-        self._round_len = num_players + len(self._ue_arms)
         if not self._leader:
             self.phase = "explore"
-            self._plan, self._limits = self._plans[(self.rank + t0) % num_players]
-            return
-        if self._pending:
+            plan, self._limits = self._plans[(self.rank + t0) % num_players]
+        elif self._pending:
             self.phase = "comm"
             self._park_on_best(self.view.optimal_set)
-            self._plan = [self._park_arm] * num_players
+            plan = [self._park_arm] * num_players
             if self._single_arm:
                 # Parking on P adds nobody; leaving it signals.
-                self._plan[0] = (self._park_arm + 1) % self.num_arms
-            self._round_len = num_players
-            return
-        self.phase = "explore"
-        plan = self._plans[t0 % num_players][0]
-        probes = self._explore_set
-        if probes:
-            plan = plan[:]
-            least, rng = self.view.least_favored, self.rng
-            # No coin for a slot past the horizon, which is never played.
-            for s in range(min(num_players, self.horizon - t0)):
-                if (
-                    plan[s] == least
-                    and (s or not self._single_arm)  # not a false signal
-                    and rng.random() < 0.5
-                ):
-                    plan[s] = probes[int(rng.integers(len(probes)))]
-        self._plan = plan
+                plan[0] = (self._park_arm + 1) % self.num_arms
+        else:
+            self.phase = "explore"
+            plan = self._plans[t0 % num_players][0]
+            probes = self._explore_set
+            if probes:
+                plan = plan[:]
+                least, rng = self.view.least_favored, self.rng
+                # No coin for a slot past the horizon, which is never played.
+                for s in range(min(num_players, self.horizon - t0)):
+                    if (
+                        plan[s] == least
+                        and (s or not self._single_arm)  # not a false signal
+                        and rng.random() < 0.5
+                    ):
+                        plan[s] = probes[int(rng.integers(len(probes)))]
+        self._begin(_ROUND, t0, plan)
 
     def _park_on_best(self, arms) -> None:
         """Leader: park on the best empirical mean in ``arms``, lower index on ties."""
         self._park_arm = max(arms, key=lambda k: (self.stats.mu_hat(k), -k))
 
-    def _begin_broadcast(self) -> None:
-        self._mode = _BROADCAST
-        self._limits = None
-        self._comm_slot = 0
-        self._comm_len = self.num_arms  # the news mask goes first
+    def _begin_broadcast(self, t0: int) -> None:
+        """Start a broadcast at slot ``t0``: followers listen on arm 0, and
+        the leader joins them for a 1 bit and sits on arm 1 for a 0 bit."""
         self.phase = "comm"
-        self._message = self._leader_message() if self._leader else []
+        self._limits = None
+        if self._leader:
+            self._message = self._leader_message()
+            plan = [1 - bit for bit in self._message]
+        else:
+            self._message = []
+            longest = self.num_arms + payload_bits([1] * self.num_arms, self._nbits)
+            plan = [0] * longest
+        self._begin(_BROADCAST, t0, plan)
+        self._len = self.num_arms  # the news mask goes first
 
     def _leader_message(self) -> list[int]:
         """Leader: the bits that move the view to its assignment and bounds."""
@@ -292,11 +291,6 @@ class DpeSdiPolicy:
             bounds.upper,
             self._nbits,
         )
-
-    def _finish_broadcast(self) -> None:
-        # The leader applies its own bits, followers the bits they heard.
-        self._apply(self._message)
-        self._begin_round(self._t + 1)
 
     def _apply(self, bits: list[int]) -> None:
         """Decode a broadcast into the view; every player runs this."""
@@ -362,7 +356,7 @@ class DpeSdiPolicy:
             self._opt = opt.profile.counts, opt.least_favored
             self._opt_set = {k for k, c in enumerate(opt.profile.counts) if c > 0}
         counts, least = self._opt
-        budget = klucb_budget(self._t + 1)
+        budget = klucb_budget(self._start + self._len)  # the next stretch's first slot
         self._explore_set = [
             k
             for k in range(self.num_arms)
@@ -383,39 +377,19 @@ class DpeSdiPolicy:
     # -- engine interface --------------------------------------------------
 
     def next_action(self, t: int) -> int:
-        mode = self._mode
-        if mode == _ROUND:
-            return self._plan[self._round_slot]
-        self._t = t
-        if mode == _BROADCAST:
-            # Followers listen on arm 0; the leader joins it for a 1 bit.
-            if self._leader:
-                return 0 if self._message[self._comm_slot] else 1
-            return 0
-        if mode == _RALLY:
-            return 0
-        if mode == _ORTHO:
+        if self._mode == _ORTHO:
+            self._start = t + 1  # where the warm-up starts, if this slot ends it
             return self._ortho.next_arm()
-        if mode == _WARMUP:
-            return (self._warm_slot + self.rank) % self.num_arms
-        if mode == _PARK:
-            return self._park_arm if self._leader else self.rank
-        raise RuntimeError(f"unknown mode {mode!r}")
+        return self._plan[self._slot]
 
     def observe(self, obs: Observation) -> None:
+        s = self._slot
         limits = self._limits
         if limits is not None:
             # A follower in a round: only a parked leader raises a count.
-            s = self._round_slot
             if obs.count > limits[s]:
                 self._detect()
-            self._round_slot = s = s + 1
-            if s == self._round_len:
-                self._end_round()
-            return
-        mode = self._mode
-        if mode == _ROUND:
-            s = self._round_slot
+        elif self._mode == _ROUND:
             if not self._leader:
                 if s == 0 and obs.count < self.num_players:
                     # A single-arm view: the leader left the arm to signal.
@@ -425,65 +399,71 @@ class DpeSdiPolicy:
             elif not self._pending and obs.count <= self.bounds.lower[obs.arm]:
                 # Within the known capacity the per-load draw is exact.
                 self.stats.add_individual(obs.arm, obs.reward / obs.count)
-            self._round_slot = s = s + 1
-            if s == self._round_len:
-                self._end_round()
-        elif mode == _BROADCAST:
-            self._observe_broadcast(obs)
-        elif mode == _RALLY:
-            self._observe_rally(obs)
-        elif mode == _ORTHO:
+        elif self._mode == _BROADCAST:
+            if not self._leader:
+                self._message.append(int(obs.count == self.num_players))
+            if s + 1 == self.num_arms:
+                # Every follower now holds the news mask, which sizes the rest.
+                self._len += payload_bits(self._message[: self.num_arms], self._nbits)
+        elif self._mode == _ORTHO:
             if self._ortho.observe(obs.shared):
                 self._start_warmup()
-        elif mode == _WARMUP:
-            self._observe_warmup(obs)
-        else:  # _PARK
-            self._comm_slot += 1
-            if self._comm_slot == self.num_players:
-                self._begin_broadcast()
+            return
+        elif self._mode == _WARMUP:
+            if self._leader:
+                if obs.count != 1:
+                    raise ProtocolCorruptionError("warm-up sweep arm was not exclusive")
+                self.stats.add_individual(obs.arm, obs.reward)
+        elif self._mode == _RALLY:
+            self.num_players = obs.count
+        self._slot = s = s + 1
+        if s == self._len:
+            self._end_stretch()
 
-    # -- per-mode observation handlers --------------------------------------
+    # -- stretch transitions -------------------------------------------------
 
     def _detect(self) -> None:
         """Follower: the leader parked; keep the plan, broadcast after M slots."""
         self._pending = True
-        self._round_len = self.num_players
+        self._len = self.num_players
 
-    def _end_round(self) -> None:
-        self._t = self._round_start + self._round_len - 1  # the round's last slot
-        if self._pending:
-            self._begin_broadcast()
+    def _end_stretch(self) -> None:
+        """Begin the stretch that follows the one just played."""
+        mode, t0 = self._mode, self._start + self._len
+        if mode == _RALLY:
+            self._mode = _ORTHO
+            self._ortho = Orthogonalization(self.num_players, self.rng)
+            if self.num_players >= self.num_arms:
+                raise ProtocolCorruptionError(
+                    "rally counted as many players as arms; model requires M < K"
+                )
             return
-        if self._leader:
+        if mode == _BROADCAST:
+            # The leader applies its own bits, followers the bits they heard.
+            self._apply(self._message)
+        elif mode == _PARK or self._pending:
+            self._begin_broadcast(t0)
+            return
+        elif self._leader:
             self._leader_update()
-        self._begin_round(self._t + 1)
-
-    def _observe_broadcast(self, obs: Observation) -> None:
-        if not self._leader:
-            self._message.append(int(obs.count == self.num_players))
-        self._comm_slot += 1
-        if self._comm_slot == self.num_arms:
-            # Every follower now holds the news mask, which sizes the rest.
-            self._comm_len += payload_bits(self._message[: self.num_arms], self._nbits)
-        if self._comm_slot == self._comm_len:
-            self._finish_broadcast()
-
-    def _observe_rally(self, obs: Observation) -> None:
-        self.num_players = obs.count
-        self._mode = _ORTHO
-        self._ortho = Orthogonalization(self.num_players, self.rng)
-        if self.num_players >= self.num_arms:
-            raise ProtocolCorruptionError(
-                "rally counted as many players as arms; model requires M < K"
-            )
+        if mode == _WARMUP and self.num_players > 1:
+            # The bootstrap park: M slots, the leader on its best arm and each
+            # follower on its rank's arm; the first broadcast follows.
+            if self._leader:
+                self._park_on_best(range(self.num_arms))
+            arm = self._park_arm if self._leader else self.rank
+            self._begin(_PARK, t0, [arm] * self.num_players)
+            self.phase = "comm"
+        else:
+            self._begin_round(t0)
 
     def _start_warmup(self) -> None:
-        self.rank = self._ortho.claim
-        self._leader = self.rank == 0
-        self._mode = _WARMUP
-        self._warm_slot = 0
+        rank, num_arms = self._ortho.claim, self.num_arms
+        self.rank = rank
+        self._leader = rank == 0
+        self._begin(_WARMUP, self._start, [(s + rank) % num_arms for s in range(num_arms)])
         self.view = SharedInfo(
-            set(), None, [1] * self.num_arms, [self.num_players] * self.num_arms
+            set(), None, [1] * num_arms, [self.num_players] * num_arms
         )
         self._view_changed = True
         self._nbits = bound_bits(self.num_players)
@@ -492,21 +472,3 @@ class DpeSdiPolicy:
             self.bounds = CapacityBounds(self.num_arms, self.num_players)
             self._bracket_inputs = [None] * self.num_arms
             self._united = [None] * self.num_arms
-
-    def _observe_warmup(self, obs: Observation) -> None:
-        if self._leader:
-            if obs.count != 1:
-                raise ProtocolCorruptionError("warm-up sweep arm was not exclusive")
-            self.stats.add_individual(obs.arm, obs.reward)
-        self._warm_slot += 1
-        if self._warm_slot == self.num_arms:
-            if self.num_players == 1:
-                self._leader_update()
-                self._begin_round(self._t + 1)
-                return
-            if self._leader:
-                self._leader_update()
-                self._park_on_best(range(self.num_arms))
-            self._mode = _PARK
-            self._comm_slot = 0
-            self.phase = "comm"

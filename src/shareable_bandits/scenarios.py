@@ -58,6 +58,10 @@ class Scenario:
             self.checkpoints = default_checkpoints(self.horizon)
 
     def validate(self) -> None:
+        for name in ("capacities", "means", "algorithms", "seeds", "checkpoints"):
+            value = getattr(self, name)
+            if not isinstance(value, list):  # a number, string or object from a file
+                raise ScenarioError(f"{name} must be a list, got {value!r}")
         try:
             EnvSpec(
                 num_arms=self.num_arms,
@@ -75,9 +79,6 @@ class Scenario:
             )
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ScenarioError(f"delta must lie in (0, 1), got {self.delta}")
-        for name in ("algorithms", "seeds", "checkpoints"):
-            if isinstance(getattr(self, name), str):  # would iterate as characters
-                raise ScenarioError(f"{name} must be a list, got {getattr(self, name)!r}")
         if any(not is_integral(s) or s < 0 for s in self.seeds):
             raise ScenarioError(f"seeds must be non-negative integers, got {self.seeds}")
         for name in ("seeds", "algorithms"):

@@ -7,6 +7,7 @@ no code with the library under test (arithmetic duplicated on purpose).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,6 +254,16 @@ def simulate_dpe_broadcast(num_arms: int, num_players: int, view: dict, target: 
         "upper": got["upper"],
     }
     return leader_arms, state
+
+
+def rotation_arm(rank: int, t: int, prefix: list[int]) -> int:
+    """Arm the DPE rotation rule gives ``rank`` at slot ``t``.
+
+    ``prefix`` holds the cumulative assignment counts, so M is its last
+    entry. Ranks circulate: position (rank + t) mod M, counted from 1, lies
+    in the first arm whose cumulative count reaches it.
+    """
+    return bisect_left(prefix, (rank + t) % prefix[-1] + 1)
 
 
 @dataclass

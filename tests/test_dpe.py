@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from shareable_bandits.dpe import (
     SharedInfo,
     UnsupportedFeedbackError,
     recover_profile,
-    rotation_arm,
 )
 from shareable_bandits.engine import Observation, PublicEnvInfo, run
 from shareable_bandits.harness import policy_factory
@@ -23,7 +23,7 @@ from shareable_bandits.protocol import (
     bound_bits,
     broadcast_message,
 )
-from shareable_bandits.scenarios import load_scenario
+from shareable_bandits.scenarios import default_checkpoints, load_scenario
 from shareable_bandits.stats import (
     CapacityBounds,
     PlayerStats,
@@ -32,7 +32,7 @@ from shareable_bandits.stats import (
     update_capacity_bounds,
 )
 
-from oracles import simulate_dpe_broadcast
+from oracles import rotation_arm, simulate_dpe_broadcast
 
 
 def make_spec(**kw):
@@ -52,6 +52,14 @@ def make_spec(**kw):
 # A run in which some views put both players on one arm.
 SEED_47_SPEC = EnvSpec(7, 2, (0.62, 0.53, 0.36, 0.0, 0.39, 0.43, 0.41),
                        (1, 2, 1, 2, 1, 2, 1), 2795, feedback="sdi", seed=47)
+# A run whose leader parks in a single-arm view: it leaves the arm to signal.
+SEED_63_SPEC = EnvSpec(8, 2, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0),
+                       (2, 1, 2, 2, 2, 2, 2, 1), 1205, feedback="sdi", seed=63)
+# One player: the leader applies its own bits and never broadcasts.
+ONE_PLAYER_SPEC = make_spec(
+    num_players=1, capacities=(1, 1, 1, 1, 1), horizon=3000,
+    means=(0.55, 0.6, 0.5, 0.3, 0.2),
+)
 
 
 def make_env(spec, seed=0):
@@ -198,7 +206,7 @@ def transfer_through_counts(new, view, num_players, num_arms):
     players = broadcast_players(view, num_players, num_arms)
     set_target(players[0], new)
     for p in players:
-        p._begin_broadcast()
+        p._begin_broadcast(0)
     leader_arms = []
     t = 0
     while players[0]._mode == "comm-broadcast":
@@ -248,7 +256,7 @@ class TestRoundPlan:
             )
             rotation = [rotation_arm(policy.rank, t0 + s, prefix) for s in range(num_players)]
             assert policy._plan == rotation + ue_arms
-            assert policy._round_len == num_players + len(ue_arms)
+            assert policy._len == num_players + len(ue_arms)
             if len(view.optimal_set) == 1:
                 assert policy._limits is None
                 single += 1
@@ -349,7 +357,7 @@ class TestBroadcastProtocol:
             view.cap_lower, view.cap_upper, follower._nbits,
         )
         with pytest.raises(ProtocolCorruptionError):
-            follower._finish_broadcast()
+            follower._apply(follower._message)
 
 
 class TestSingleArmView:
@@ -432,18 +440,12 @@ class TestEndToEnd:
 
     def test_single_player_applies_without_broadcast(self):
         """With M = 1 the leader applies its own bits at once, in no slot."""
-        spec = make_spec(
-            num_players=1,
-            capacities=(1, 1, 1, 1, 1),
-            horizon=3000,
-            means=(0.55, 0.6, 0.5, 0.3, 0.2),
-        )
         phases, views = set(), set()
 
         def probe(t, policies, counts):
             p = policies[0]
             phases.add(p.phase)
-            if p._mode == "explore-round" and p._round_slot == 0:
+            if p._mode == "explore-round" and p._slot == 0:
                 view = p.view
                 target = (p._opt_set, p._opt[1], p.bounds.lower, p.bounds.upper)
                 assert (
@@ -451,7 +453,7 @@ class TestEndToEnd:
                 ) == target
                 views.add((frozenset(view.optimal_set), view.least_favored))
 
-        run(DpeSdiPolicy, spec, probe=probe)
+        run(DpeSdiPolicy, ONE_PLAYER_SPEC, probe=probe)
         assert "comm" not in phases and "explore" in phases
         assert len(views) > 1
 
@@ -464,7 +466,7 @@ class TestEndToEnd:
                 (frozenset(p.view.optimal_set), p.view.least_favored,
                  tuple(p.view.cap_lower), tuple(p.view.cap_upper))
                 for p in policies
-                if p._mode == "explore-round" and p._round_slot == 0
+                if p._mode == "explore-round" and p._slot == 0
             ]
             if len(views) == len(policies) and len(set(views)) > 1:
                 desync.append(t)
@@ -478,8 +480,7 @@ class TestEndToEnd:
             SEED_47_SPEC,
             EnvSpec(7, 2, (0.58, 0.93, 0.15, 0.95, 0.46, 0.16, 0.78),
                     (2, 2, 2, 2, 1, 1, 1), 2991, feedback="sdi", seed=54),
-            EnvSpec(8, 2, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0),
-                    (2, 1, 2, 2, 2, 2, 2, 1), 1205, feedback="sdi", seed=63),
+            SEED_63_SPEC,
         ],
         ids=["seed-47", "seed-54", "seed-63"],
     )
@@ -488,7 +489,7 @@ class TestEndToEnd:
         desync = []
 
         def probe(t, policies, counts):
-            if any(p._mode != "explore-round" or p._round_slot for p in policies):
+            if any(p._mode != "explore-round" or p._slot for p in policies):
                 return
             views = {
                 (frozenset(p.view.optimal_set), p.view.least_favored,
@@ -518,31 +519,53 @@ class TestEndToEnd:
         assert bad == []
 
     @pytest.mark.parametrize(
-        "spec", [make_spec(), SEED_47_SPEC], ids=["make-spec", "single-arm-seed-47"]
+        "spec, parking_rounds, single_arm",
+        [(make_spec(), 10, False), (SEED_47_SPEC, 10, False), (SEED_63_SPEC, 2, True)],
+        ids=["make-spec", "seed-47", "single-arm-seed-63"],
     )
-    def test_parking_round_keeps_the_plan(self, spec):
-        """A follower that sees the park keeps its planned arms, and every
-        player starts the broadcast in the same slot."""
+    def test_parking_round_keeps_the_plan(self, spec, parking_rounds, single_arm):
+        """From warm-up on, every player plays in each slot the arm that the
+        plan it held when its stretch began gives that slot. A follower that
+        sees the park keeps its round's planned arms, and every player starts
+        each broadcast in the same slot. The run has at least
+        ``parking_rounds`` parking rounds; ``single_arm`` says whether the
+        leader parks in a single-arm view, where it leaves the arm to signal."""
         num_players = spec.num_players
+        held = {}  # rank -> (first slot, plan) of the player's current stretch
+        slots = Counter()  # mode -> slots checked against a held plan
         rounds = {}  # slot -> per player (rank, leader parked, planned, played)
+        single_arm_parks = 0
         broadcasts = {}  # rank -> slots at which its broadcasts started
 
         class Logged(DpeSdiPolicy):
             def next_action(self, t):
+                nonlocal single_arm_parks
                 arm = super().next_action(t)
-                if self._mode == "explore-round":
-                    plan = self._plans[(self.rank + self._round_start) % num_players][0]
+                mode = self._mode
+                if mode in ("rally", "orthogonalize"):
+                    return arm
+                if held.get(self.rank, (None,))[0] != self._start:
+                    assert self._start == t
+                    held[self.rank] = (t, list(self._plan))
+                    if mode == "comm-broadcast":
+                        broadcasts.setdefault(self.rank, []).append(t)
+                    elif mode == "explore-round" and self._leader and self._pending:
+                        single_arm_parks += self._single_arm
+                start, plan = held[self.rank]
+                assert arm == plan[t - start]
+                slots[mode] += 1
+                if mode == "explore-round":
+                    table = self._plans[(self.rank + start) % num_players][0]
                     rounds.setdefault(t, []).append(
-                        (self.rank, self._leader and self._pending,
-                         plan[self._round_slot], arm)
+                        (self.rank, self._leader and self._pending, table[t - start], arm)
                     )
-                elif self._mode == "comm-broadcast" and self._comm_slot == 0:
-                    broadcasts.setdefault(self.rank, []).append(t)
                 return arm
 
         run(Logged, spec)
+        assert set(slots) == {"warmup", "bootstrap-park", "comm-broadcast", "explore-round"}
+        assert (single_arm_parks > 0) == single_arm
         parking = [slot for slot in rounds.values() if any(row[1] for row in slot)]
-        assert len(parking) >= 10 * num_players
+        assert len(parking) >= parking_rounds * num_players
         for slot in parking:
             assert len(slot) == num_players
             for rank, _, planned, arm in slot:
@@ -571,7 +594,7 @@ class TestEndToEnd:
             for p in policies:
                 after_round = last_mode.get(p.rank) == "explore-round"
                 last_mode[p.rank] = p._mode
-                if p._mode != "explore-round" or p._round_slot != 0:
+                if p._mode != "explore-round" or p._slot != 0:
                     continue
                 profile = recover_profile(p.view, num_players)
                 prefix = list(itertools.accumulate(profile))
@@ -581,7 +604,7 @@ class TestEndToEnd:
                 )
                 assert p._ue_arms == ue_arms
                 rotation = [
-                    rotation_arm(p.rank, p._round_start + s, prefix)
+                    rotation_arm(p.rank, p._start + s, prefix)
                     for s in range(num_players)
                 ]
                 if p.rank != 0:
@@ -612,7 +635,7 @@ class TestEndToEnd:
                 checked["leader"] += 1
                 if after_round:
                     # The probe set was drawn up at the end of the last round.
-                    budget = klucb_budget(p._round_start)
+                    budget = klucb_budget(p._start)
                     least = opt.least_favored
                     assert p._explore_set == [
                         k for k in range(spec.num_arms)
@@ -647,42 +670,52 @@ class TestEndToEnd:
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_traces.json").read_text())
+# Recordings of an EnvSpec rather than of a preset, by recording name.
+GOLDEN_SPECS = {"single-arm-seed-63": SEED_63_SPEC, "one-player": ONE_PLAYER_SPEC}
 
 
 class TestGoldenTrace:
-    """Runs at seed 0 against recorded traces.
+    """Runs against recorded traces.
 
-    dpe-sdi runs at horizon 20,000. Its phase events were recorded while the
-    players still chose every slot's arm one slot at a time, so a change to
-    how rounds are planned that drifts fails here in seconds; its regrets and
-    optimal slots were recorded once followers that see the park kept their
-    planned arms. sic-sda runs each preset's full horizon: on
-    ``synthetic-0.025`` every player commits long before the horizon, on
-    ``cellular-5g4g`` committed players sit beside explorers. Each case pins
-    the checkpoint regrets, player 0's phase transitions and the number of
-    optimal slots.
+    dpe-sdi runs each preset at seed 0 and horizon 20,000. Its phase events
+    were recorded while the players still chose every slot's arm one slot at
+    a time, so a change to how rounds are planned that drifts fails here in
+    seconds; its regrets and optimal slots were recorded once followers that
+    see the park kept their planned arms. Two dpe-sdi recordings run an
+    EnvSpec of ``GOLDEN_SPECS`` whole, and pin paths no preset reaches at low
+    seeds: the seed-63 leader leaves the park arm of a single-arm view, and
+    a lone leader applies its own bits. They were recorded while warm-up,
+    park and broadcast still chose their arms slot by slot. sic-sda runs
+    each preset's full horizon at seed 0: on ``synthetic-0.025`` every player
+    commits long before the horizon, on ``cellular-5g4g`` committed players
+    sit beside explorers. Each case pins the checkpoint regrets, player 0's
+    phase transitions and the number of optimal slots.
     """
 
     @staticmethod
-    def check(algorithm, preset):
-        recorded = GOLDEN[algorithm][preset]
-        scenario = dataclasses.replace(
-            load_scenario(preset), horizon=recorded["horizon"], checkpoints=[]
-        )
-        trace = run(
-            policy_factory(algorithm, scenario.delta),
-            scenario.env_spec(algorithm, 0),
-            checkpoints=scenario.checkpoints,
-        )
+    def check(algorithm, name):
+        """Run the recording ``name``: an EnvSpec of ``GOLDEN_SPECS`` or a preset."""
+        recorded = GOLDEN[algorithm][name]
+        source = GOLDEN_SPECS.get(name, name)
+        if isinstance(source, EnvSpec):
+            factory = policy_factory(algorithm, None)
+            spec, checkpoints = source, default_checkpoints(source.horizon)
+        else:
+            scenario = dataclasses.replace(
+                load_scenario(source), horizon=recorded["horizon"], checkpoints=[]
+            )
+            factory = policy_factory(algorithm, scenario.delta)
+            spec, checkpoints = scenario.env_spec(algorithm, 0), scenario.checkpoints
+        trace = run(factory, spec, checkpoints=checkpoints)
         assert list(trace.checkpoints) == recorded["checkpoints"]
         assert list(trace.checkpoint_regret) == recorded["checkpoint_regret"]
         assert [list(e) for e in trace.phase_events] == recorded["phase_events"]
         assert int(trace.optimal_mask.sum()) == recorded["optimal_slots"]
 
-    @pytest.mark.parametrize("preset", sorted(GOLDEN["dpe-sdi"]))
-    def test_trace_matches_recording(self, preset):
-        self.check("dpe-sdi", preset)
+    @pytest.mark.parametrize("name", sorted(GOLDEN["dpe-sdi"]))
+    def test_trace_matches_recording(self, name):
+        self.check("dpe-sdi", name)
 
-    @pytest.mark.parametrize("preset", sorted(GOLDEN["sic-sda"]))
-    def test_sic_trace_matches_recording(self, preset):
-        self.check("sic-sda", preset)
+    @pytest.mark.parametrize("name", sorted(GOLDEN["sic-sda"]))
+    def test_sic_trace_matches_recording(self, name):
+        self.check("sic-sda", name)

@@ -75,7 +75,7 @@ def test_full_runs_stay_sound(algorithm, env):
         value = sum(min(c, caps[a]) * means[a] for a, c in counts.items())
         if value > best + 1e-9:
             negative.append(t)
-        if dpe and all(p._mode == "explore-round" and p._round_slot == 0 for p in policies):
+        if dpe and all(p._mode == "explore-round" and p._slot == 0 for p in policies):
             if len({view_of(p) for p in policies}) > 1:
                 desync.append(t)
 

@@ -112,6 +112,11 @@ class TestScenarioValidation:
             (dict(seeds="0"), "seeds must be a list"),
             (dict(checkpoints="400"), "checkpoints must be a list"),
             (dict(checkpoints=""), "checkpoints must be a list"),
+            (dict(seeds=5), "seeds must be a list"),
+            (dict(checkpoints=400), "checkpoints must be a list"),
+            (dict(capacities=3), "capacities must be a list"),
+            (dict(means=0.5), "means must be a list"),
+            (dict(algorithms={"dpe-sdi": 1}), "algorithms must be a list"),
         ],
         ids=["infeasible-capacity", "zero-horizon", "negative-horizon", "delta-two",
              "delta-zero", "negative-seed", "fractional-seed", "fractional-capacity",
@@ -120,7 +125,9 @@ class TestScenarioValidation:
              "bool-seed", "negative-numpy-seed", "numpy-bool-seed", "no-algorithms",
              "repeated-algorithm", "string-mean", "bool-mean", "string-permute-means",
              "int-permute-means", "string-algorithms", "string-algorithms-sic",
-             "string-seeds", "string-checkpoints", "empty-string-checkpoints"],
+             "string-seeds", "string-checkpoints", "empty-string-checkpoints",
+             "number-seeds", "number-checkpoints", "number-capacities", "number-means",
+             "object-algorithms"],
     )
     def test_invalid_input_rejected(self, changes, match):
         with pytest.raises(ScenarioError, match=match):
@@ -294,6 +301,12 @@ class TestCli:
             ({"algorithms": "sic"}, ["validate"]),
             ({"seeds": "0"}, ["validate"]),
             ({"checkpoints": "400"}, ["validate"]),
+            ({"seeds": 5}, ["validate"]),
+            ({"checkpoints": 400}, ["validate"]),
+            ({"capacities": 3}, ["validate"]),
+            ({"means": 0.5}, ["validate"]),
+            ({"algorithms": {"dpe-sdi": 1}}, ["validate"]),
+            ({"algorithms": {"dpe-sdi": 1}}, ["run"]),
         ],
         ids=["short-capacities", "zero-horizon", "delta-two", "negative-seed",
              "fractional-capacity", "fractional-horizon", "fractional-checkpoint",
@@ -303,7 +316,9 @@ class TestCli:
              "run-repeated-algorithm", "string-mean", "bool-mean", "run-string-mean",
              "run-bool-mean", "string-permute-means", "run-string-permute-means",
              "string-algorithms", "string-algorithms-sic", "string-seeds",
-             "string-checkpoints"],
+             "string-checkpoints", "number-seeds", "number-checkpoints",
+             "number-capacities", "number-means", "object-algorithms",
+             "run-object-algorithms"],
     )
     def test_validate_bad_file(self, tmp_path, capsys, changes, command):
         data = json.loads(tiny_scenario().to_json())

@@ -27,10 +27,7 @@ LIBRARY = sorted(ROOT.glob("src/**/*.py"))
 PROGRAM = sorted([*LIBRARY, *ROOT.glob("perfbench/**/*.py")])
 USERS = sorted({*MODULES, *PROGRAM})
 
-# Library definitions that only tests name, each kept for a reason:
-# rotation_arm is the closed form that test_rotation_table_matches_rotation_arm
-# checks DpeSdiPolicy's precomputed rotation table against.
-TEST_ONLY = ["rotation_arm"]
+TEST_ONLY = []
 
 
 def scan(source: str) -> tuple[set[str], ...]:

@@ -78,26 +78,54 @@ class IdlestArmPolicy:
     A heap of (rate, arm) holds one entry per arm, so its top is the lowest
     rate, ties to the lower index. After warm-up the played arm is the top,
     and one ``heapreplace`` keeps the heap instead of a scan of every rate.
+
+    After warm-up it states engine blocks that hold while each slot's shared
+    flag is as stated:
+
+    - After an unshared pull, ``(T - t, (b,), False)`` for its top b: an
+      unshared pull of b only lowers b's rate, so b stays the top.
+    - After a shared pull, when every arm has the same pulls N and shared
+      pulls S < N, ``(T - t, (0, 1, ..., K - 1), True)``: a shared pull
+      raises an arm's rate above S / N, so the top moves to the next arm in
+      index order, and after K slots every arm is level again. This is the
+      round-robin of a herd, all players on one arm at a time.
+
+    Otherwise it states nothing and is stepped.
     """
 
     def __init__(self, player_id: int, env: PublicEnvInfo) -> None:
         self.player_id = player_id
         self.num_arms = env.num_arms
+        self.horizon = env.horizon
         self.phase = "explore"
         self._pulls = [0] * env.num_arms
         self._shared = [0] * env.num_arms
         self._rates = [float("inf")] * env.num_arms  # inf until first pull
         self._heap = [(rate, k) for k, rate in enumerate(self._rates)]
         self._best = 0
+        self._last_shared = False  # the flag of the last pull
 
     def next_action(self, t: int) -> int:
         if t < self.num_arms:
             return _warmup_arm(self.player_id, t, self.num_arms)
         return self._best
 
+    def schedule(self, t: int) -> tuple[int, tuple[int, ...], bool] | None:
+        """None in warm-up; then a block conditioned on the shared flag, or None."""
+        if t < self.num_arms:
+            return None
+        if not self._last_shared:
+            return self.horizon - t, (self._best,), False
+        pulls, shared = self._pulls[0], self._shared[0]
+        level = self._pulls.count(pulls) == self._shared.count(shared) == self.num_arms
+        if level and shared < pulls:
+            return self.horizon - t, tuple(range(self.num_arms)), True
+        return None
+
     def observe(self, obs: Observation) -> None:
         k = obs.arm
         self._pulls[k] += 1
+        self._last_shared = obs.shared
         if obs.shared:
             self._shared[k] += 1
         rate = self._rates[k] = self._shared[k] / self._pulls[k]
@@ -105,9 +133,24 @@ class IdlestArmPolicy:
         if heap[0][1] == k:
             heapreplace(heap, (rate, k))
         else:  # warm-up, or a caller that plays another arm than the top
-            heap[:] = [(r, a) for a, r in enumerate(self._rates)]
-            heapify(heap)
+            self._rebuild()
         self._best = heap[0][1]
+
+    def observe_block(self, outcomes: list[tuple[Observation, int, int]]) -> None:
+        # The rates are the same floats sequential observations give.
+        for obs, _, slots in outcomes:
+            self._pulls[obs.arm] += slots
+            if obs.shared:
+                self._shared[obs.arm] += slots
+        self._last_shared = obs.shared  # a block's flag is the same in every slot
+        self._rates = [s / n for s, n in zip(self._shared, self._pulls)]
+        self._rebuild()
+        self._best = self._heap[0][1]
+
+    def _rebuild(self) -> None:
+        """Rebuild the heap from the rates."""
+        self._heap[:] = [(r, a) for a, r in enumerate(self._rates)]
+        heapify(self._heap)
 
 
 class FixedArmPolicy:

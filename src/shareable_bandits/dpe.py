@@ -249,7 +249,9 @@ class DpeSdiPolicy:
                 for s in range(min(num_players, self.horizon - t0)):
                     if (
                         plan[s] == least
-                        and (s or not self._single_arm)  # not a false signal
+                        # Not at slot 0 of a single-arm view, where a probe
+                        # would look like the park signal to followers.
+                        and (s or not self._single_arm or num_players == 1)
                         and rng.random() < 0.5
                     ):
                         plan[s] = probes[int(rng.integers(len(probes)))]

@@ -14,16 +14,20 @@ Three things keep ``run`` cheap without changing a single output value:
   ``run`` builds this plan once per distinct action tuple and keeps it in a
   per-run dict; a slot is then one lookup plus the draws.
 - **Blocks.** A policy may state that for the next n slots it cycles
-  through a fixed tuple of arms whatever it observes (``schedule``), and
-  then take those n slots' outcome in one call (``observe_block``): per
-  position of the block's period, its interned hit observation, the number
-  of those slots its arm drew 1 and the number of slots. A player
-  committed for good states one arm to the horizon. When every player
-  states a cycle, the engine takes the shortest block at once, with one
-  plan per position of the period P, the lcm of the cycle lengths. It
-  counts each position's hits on each occupied arm in the drawn chunks, P
-  rows apart, and draws the chunks at the slots stepping would. It adds
-  each position's gap slot by slot, fills the checkpoints and the
+  through a fixed tuple of arms whatever it observes (``schedule``), or
+  whatever it observes provided its arm's shared flag is a stated value in
+  every slot, and then take those n slots' outcome in one call
+  (``observe_block``): per position of the block's period, its interned
+  hit observation, the number of those slots its arm drew 1 and the number
+  of slots. A player committed for good states one arm to the horizon.
+  When every player states a cycle, the engine takes the shortest block at
+  once, with one plan per position of the period P, the lcm of the cycle
+  lengths. The plans fix every count before anything is drawn, so it
+  checks each stated flag against them and cuts the block before the
+  first position that breaks one, stepping the slot when that is position
+  0. It counts each position's hits on each occupied arm in the drawn
+  chunks, P rows apart, and draws the chunks at the slots stepping would.
+  It adds each position's gap slot by slot, fills the checkpoints and the
   optimality mask, and keeps calling ``probe`` every slot. A player that
   answers None is stepped, and so is everyone else in that slot.
 - **Interned observations.** A player's observation depends only on its
@@ -59,7 +63,8 @@ _MAX_PLANS = 4096
 
 class InvalidActionError(RuntimeError):
     """A policy emitted an arm index outside [0, K), or a ``schedule`` answer
-    with n < 1 or an empty cycle."""
+    that is not ``(n, arms)`` or ``(n, arms, shared)``, or has n < 1 or an
+    empty cycle."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,8 +106,13 @@ class Policy(Protocol):
     - ``schedule(t) -> (n, arms)`` or None, with n >= 1 and ``arms`` a
       non-empty tuple: at slots s = t, ..., t + n - 1 it plays
       ``arms[(s - t) % len(arms)]``, whatever it observes in them. None
-      means "step me this slot". The query has no side effects: asked
-      twice, it answers the same and changes nothing.
+      means "step me this slot". The answer ``(n, arms, shared)``, with
+      ``shared`` a bool, says the same provided that in every one of
+      those slots its arm's shared flag (count > 1) equals ``shared``.
+      The engine then takes the block only up to the first slot whose
+      planned count breaks that, and steps the slot if it is the first.
+      Any other answer is malformed. The query has no side effects:
+      asked twice, it answers the same and changes nothing.
     - ``observe_block(outcomes)``: the outcome of a block of such slots at
       once. The block has period P, the lcm of every player's cycle
       length, and ``outcomes`` holds one ``(obs, hits, slots)`` per
@@ -114,8 +124,9 @@ class Policy(Protocol):
     When every player states blocks, the engine asks them for their
     schedules in player order before each slot. At the first None it steps
     the slot for everyone, and otherwise it takes the shortest stated
-    block, however short: it calls each player's ``observe_block`` once for
-    it, and no other method in it. ``phase`` is read after a block's last
+    block, however short, up to the first slot that breaks a stated flag:
+    it calls each player's ``observe_block`` once for it, and no other
+    method in it. ``phase`` is read after a block's last
     slot, so a policy may change it only at a block end. A player committed
     to one arm for good states ``(T - t, (arm,))``.
 
@@ -295,7 +306,7 @@ def run(
     t = 0
     try:
         while t < T:
-            stated = None
+            n = 0  # the slots of the block taken at t; 0 steps the slot
             if blocks:
                 # Ask the players in order and step the slot at the first
                 # None, so the players after it are not asked.
@@ -303,10 +314,46 @@ def run(
                 for schedule in schedules:
                     answer = schedule(t)
                     if answer is None:
-                        stated = None
                         break
                     stated.append(answer)
-            if stated is None:
+                else:
+                    # Every player stated a cycle: take the shortest block.
+                    # Its profile repeats with the period P, the lcm of the
+                    # cycle lengths.
+                    n = T - t
+                    period = 1
+                    cycles = []
+                    conditions = []  # (player, the shared flag its answer needs)
+                    for i, answer in enumerate(stated):
+                        size = len(answer) if type(answer) is tuple else 0
+                        if (
+                            not (size == 2 or size == 3 and type(answer[2]) is bool)
+                            or answer[0] < 1
+                            or not answer[1]
+                        ):
+                            stray = i
+                            raise InvalidActionError(f"schedule answer {answer!r} is malformed")
+                        m, cycle = answer[0], answer[1]
+                        if size == 3:
+                            conditions.append((i, answer[2]))
+                        n = min(n, m)
+                        period = lcm(period, len(cycle))
+                        cycles.append(cycle)
+                    width = min(n, period)  # positions the block reaches
+                    at = []  # the plan of each position
+                    for j in range(width):
+                        arms = [cycle[j % len(cycle)] for cycle in cycles]
+                        plan = plans.get(tuple(arms)) or plan_for(arms)
+                        counts = plan[3]
+                        if conditions and any(
+                            (counts[arms[i]] > 1) is not shared for i, shared in conditions
+                        ):
+                            # The block ends before the first position that
+                            # breaks a condition; at position 0, step.
+                            n = width = j
+                            break
+                        at.append(plan)
+            if not n:
                 if offset == len(draws):
                     offset = 0
                     draws = draw(t)
@@ -318,22 +365,6 @@ def run(
                 for observe, a, (miss, hit) in zip(observers, arms, players):
                     observe(hit if row[a] else miss)
             else:
-                # Every player stated a cycle: take the shortest block. Its
-                # profile repeats with the period P, the lcm of the cycle
-                # lengths.
-                n = T - t
-                period = 1
-                for m, cycle in stated:
-                    n = min(n, m)
-                    period = lcm(period, len(cycle))
-                if n < 1 or not period:
-                    stray = next(i for i, (m, cycle) in enumerate(stated) if m < 1 or not cycle)
-                    raise InvalidActionError(f"schedule answer {stated[stray]!r} is malformed")
-                width = min(n, period)  # positions the block reaches
-                at = []  # the plan of each position
-                for j in range(width):
-                    arms = [cycle[j % len(cycle)] for _, cycle in stated]
-                    at.append(plans.get(tuple(arms)) or plan_for(arms))
                 last = t + n - 1
                 # Hits per (position, occupied arm), counted in each chunk the
                 # block spans; chunks are drawn at the slots stepping would.
@@ -353,7 +384,7 @@ def run(
                             counted[a] += draws[start + a : stop : stride].count(1)
                     offset = stop
                     s += rows
-                for i, (policy, (_, cycle)) in enumerate(zip(policies, stated)):
+                for i, (policy, cycle) in enumerate(zip(policies, cycles)):
                     size = len(cycle)
                     policy.observe_block([
                         (at[j][0][i][1], hits[j][cycle[j % size]], (n - j - 1) // period + 1)

@@ -10,6 +10,7 @@ from shareable_bandits.baselines import (
 )
 from shareable_bandits.engine import Observation, PublicEnvInfo, run
 from shareable_bandits.model import EnvSpec, Feedback
+from shareable_bandits.scenarios import load_scenario
 
 
 def make_spec(**kw):
@@ -270,6 +271,77 @@ class TestIdlestArm:
                 assert policy._best == rates.index(min(rates))
                 ties += rates.count(min(rates)) > 1
         assert ties > 500
+
+
+class TestIdlestArmBlocks:
+    def test_warmup_states_no_block(self):
+        policy = IdlestArmPolicy(0, make_env())
+        assert [policy.schedule(t) for t in range(4)] == [None] * 4
+
+    def test_unshared_pull_states_the_top_to_the_horizon(self):
+        policy = IdlestArmPolicy(0, make_env())
+        for arm, shared in [(0, True), (1, True), (2, False), (3, True), (2, False)]:
+            policy.observe(Observation(arm, 0.0, 2 if shared else 1, shared))
+        assert policy.schedule(5) == (195, (2,), False)
+        for _ in range(50):  # the statement holds: unshared pulls keep arm 2
+            policy.observe(Observation(2, 0.0, 1, False))
+            assert policy._best == 2
+
+    def test_level_herd_states_the_round_robin(self):
+        policy = IdlestArmPolicy(0, make_env())
+        for arm in range(4):
+            policy.observe(Observation(arm, 0.0, 1, False))
+        for arm in range(4):
+            policy.observe(Observation(arm, 0.0, 2, True))
+            # Until every arm is level again, it states nothing.
+            assert policy.schedule(5 + arm) == (None if arm < 3 else (192, (0, 1, 2, 3), True))
+        for t in range(8, 40):  # the statement holds: shared pulls go round
+            assert policy.next_action(t) == t % 4
+            policy.observe(Observation(t % 4, 0.0, 2, True))
+
+    def test_all_shared_arms_state_nothing(self):
+        # Every rate is 1: a shared pull keeps arm 0 on top, not round-robin.
+        policy = IdlestArmPolicy(0, make_env())
+        for arm in range(4):
+            policy.observe(Observation(arm, 0.0, 2, True))
+        assert policy.schedule(4) is None
+
+    def test_block_equals_sequential_observations(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            stepped = IdlestArmPolicy(0, make_env())
+            blocked = IdlestArmPolicy(0, make_env())
+            for arm in range(4):
+                shared = bool(rng.integers(2))
+                for policy in (stepped, blocked):
+                    policy.observe(Observation(arm, 0.0, 2 if shared else 1, shared))
+            shared = bool(rng.integers(2))
+            outcomes = []
+            for arm in rng.permutation(4)[: int(rng.integers(1, 5))]:
+                obs = Observation(int(arm), 0.0, 2 if shared else 1, shared)
+                slots = int(rng.integers(1, 30))
+                outcomes.append((obs, 0, slots))
+                for _ in range(slots):
+                    stepped.observe(obs)
+            blocked.observe_block(outcomes)
+            for name in ("_pulls", "_shared", "_rates", "_best", "_last_shared"):
+                assert getattr(blocked, name) == getattr(stepped, name), name
+            assert blocked._heap[0] == stepped._heap[0]
+
+    def test_cellular_herd_steps_only_its_first_two_sweeps(self):
+        """At seed 0 of ``cellular-5g4g`` every player is stepped in at most 2K slots."""
+        scenario = load_scenario("cellular-5g4g")
+        spec = scenario.env_spec("idlest-arm", 0)
+        stepped = [0] * spec.num_players
+
+        class Counted(IdlestArmPolicy):
+            def next_action(self, t):
+                stepped[self.player_id] += 1
+                return super().next_action(t)
+
+        trace = run(Counted, spec, checkpoints=scenario.checkpoints)
+        assert max(stepped) <= 2 * spec.num_arms
+        assert trace.final_regret == 2828051.0074786963
 
 
 class TestDummies:

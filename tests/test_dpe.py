@@ -291,7 +291,7 @@ class TestRoundPlan:
                 if (
                     target == leader.view.least_favored
                     and probes
-                    and (s or not single)
+                    and (s or not single or num_players == 1)
                     and reference.random() < 0.5
                 ):
                     target = probes[int(reference.integers(len(probes)))]
@@ -456,6 +456,25 @@ class TestEndToEnd:
         run(DpeSdiPolicy, ONE_PLAYER_SPEC, probe=probe)
         assert "comm" not in phases and "explore" in phases
         assert len(views) > 1
+
+    def test_single_player_leaves_its_warmup_winner(self):
+        """With M = 1 no follower can take a probe for the park, so the leader probes.
+
+        On ``ONE_PLAYER_SPEC`` the warm-up puts arm 0 (mean 0.55) ahead of
+        the best arm, arm 1 (mean 0.6).
+        """
+        least, arms = [], set()
+
+        def probe(t, policies, counts):
+            p = policies[0]
+            if p._mode == "explore-round":
+                least.append(p.view.least_favored)
+                arms.update(counts)
+
+        trace = run(DpeSdiPolicy, ONE_PLAYER_SPEC, probe=probe)
+        assert least[0] == 0 and least[-1] == 1
+        assert arms == set(range(ONE_PLAYER_SPEC.num_arms))
+        assert trace.optimal_mask.sum() > ONE_PLAYER_SPEC.horizon // 3
 
     def test_views_synchronized_outside_comm(self):
         spec = make_spec(horizon=4000)
@@ -685,7 +704,9 @@ class TestGoldenTrace:
     EnvSpec of ``GOLDEN_SPECS`` whole, and pin paths no preset reaches at low
     seeds: the seed-63 leader leaves the park arm of a single-arm view, and
     a lone leader applies its own bits. They were recorded while warm-up,
-    park and broadcast still chose their arms slot by slot. sic-sda runs
+    park and broadcast still chose their arms slot by slot, and
+    ``one-player`` again once a lone leader draws its probe coin at round
+    slot 0 (it has no follower to mislead). sic-sda runs
     each preset's full horizon at seed 0: on ``synthetic-0.025`` every player
     commits long before the horizon, on ``cellular-5g4g`` committed players
     sit beside explorers. Each case pins the checkpoint regrets, player 0's

@@ -8,6 +8,7 @@ from shareable_bandits import engine
 from shareable_bandits.baselines import (
     FixedArmPolicy,
     HighestRewardPolicy,
+    IdlestArmPolicy,
     fixed_profile_factory,
 )
 from shareable_bandits.engine import (
@@ -241,6 +242,10 @@ class TestRun:
             (4, (7,)): r"arm index 7 out of range \[0, 4\)",
             (0, (1,)): r"schedule answer \(0, \(1,\)\) is malformed",
             (3, ()): r"schedule answer \(3, \(\)\) is malformed",
+            (4, (1,), "x"): r"schedule answer \(4, \(1,\), 'x'\) is malformed",
+            (4, (1,), True, 0): r"schedule answer \(4, \(1,\), True, 0\) is malformed",
+            (4,): r"schedule answer \(4,\) is malformed",
+            5: r"schedule answer 5 is malformed",
         }
         for answer, error in strays.items():
 
@@ -701,6 +706,134 @@ class TestCycleBlocks:
                     assert 0 <= hits <= slots
 
 
+# Cellular-shaped: K = 20, M = 18, the preset's means and capacities.
+CELLULAR_LIKE = dict(
+    num_arms=20, num_players=18, horizon=3000,
+    means=(
+        0.8333333333, 0.9090909091, 0.2380952381, 0.25, 0.2222222222, 0.2857142857,
+        0.2, 0.2380952381, 0.1818181818, 0.2564102564, 0.2083333333, 0.1818181818,
+        0.2702702703, 0.2127659574, 0.3125, 0.1960784314, 0.2272727273, 0.1886792453,
+        0.2040816327, 0.243902439,
+    ),
+    capacities=(9, 8) + (1,) * 18,
+)
+
+
+class CountedIdlestArm(IdlestArmPolicy):
+    """Idlest-arm that keeps the slots it is stepped in and the (first slot,
+    n) of every block it takes."""
+
+    def __init__(self, player_id, env):
+        super().__init__(player_id, env)
+        self.stepped = []
+        self.blocks = []
+        self._t = 0  # the next slot it plays
+
+    def next_action(self, t):
+        self._t = t
+        self.stepped.append(t)
+        return super().next_action(t)
+
+    def observe(self, obs):
+        self._t += 1
+        super().observe(obs)
+
+    def observe_block(self, outcomes):
+        n = sum(slots for _, _, slots in outcomes)
+        self.blocks.append((self._t, n))
+        self._t += n
+        super().observe_block(outcomes)
+
+
+class ScriptedJoiner:
+    """Player 1 beside one idlest-arm player (player 0) on K = 4 arms.
+
+    Warm-up: it keeps off player 0's arm. Slots 4-29: it plays arm t % 4,
+    player 0's herd cycle, so at slot 4 it breaks player 0's unshared
+    statement at position 0, and from slot 8 player 0 states the herd.
+    Slots 30-59: it sits on arm 3 and so leaves the herd mid-cycle. From
+    slot 60 it plays arm t % 4 again, and joins player 0's arm mid-block.
+    It states its arms in windows of slots 8 + 40k to 47 + 40k.
+    """
+
+    phase = "explore"
+
+    def __init__(self, player_id, env):
+        self.horizon = env.horizon
+
+    @staticmethod
+    def arm(t):
+        if t < 4:
+            return (t + 3) % 4
+        return 3 if 30 <= t < 60 else t % 4
+
+    def next_action(self, t):
+        return self.arm(t)
+
+    def observe(self, obs):
+        pass
+
+    def schedule(self, t):
+        end = min(t + 40 - (t - 8) % 40, self.horizon)
+        return end - t, tuple(self.arm(s) for s in range(t, t + 40))
+
+    def observe_block(self, outcomes):
+        pass
+
+
+class TestConditionedBlocks:
+    """Idlest-arm states blocks that hold while its shared flag does."""
+
+    @pytest.mark.parametrize("feedback", [Feedback.SDA, Feedback.SDI])
+    def test_herd_equals_naive_loop(self, feedback):
+        spec = make_spec(feedback=feedback, **CELLULAR_LIKE)
+        made = []
+
+        def factory(i, env):
+            made.append(CountedIdlestArm(i, env))
+            return made[-1]
+
+        assert_run_equals_naive_loop(factory, spec)
+        # Stepped through warm-up and the herd's first round, then the
+        # herd's round-robin is one block to the horizon.
+        K, T = spec.num_arms, spec.horizon
+        for player in made[: spec.num_players]:
+            assert player.stepped == list(range(2 * K))
+            assert player.blocks == [(2 * K, T - 2 * K)]
+
+    def test_lone_player_takes_one_block(self):
+        spec = make_spec(num_players=1, capacities=(1, 1, 1, 1), horizon=3000)
+        made = []
+
+        def factory(i, env):
+            made.append(CountedIdlestArm(i, env))
+            return made[-1]
+
+        assert_run_equals_naive_loop(factory, spec)
+        player = made[0]
+        assert player.stepped == list(range(spec.num_arms))
+        assert player.blocks == [(spec.num_arms, spec.horizon - spec.num_arms)]
+
+    def test_blocks_cut_where_the_condition_fails(self):
+        spec = make_spec(num_players=2, horizon=300)
+        made = []
+
+        def factory(i, env):
+            made.append(CountedIdlestArm(i, env) if i == 0 else ScriptedJoiner(i, env))
+            return made[-1]
+
+        assert_run_equals_naive_loop(factory, spec)
+        idlest = made[0]
+        # Slot 4 breaks the unshared statement at position 0: stepped.
+        assert idlest.stepped[:8] == list(range(8))
+        # The herd block from slot 8 ends where player 1 leaves, at slot
+        # 30, mid-cycle and mid-window.
+        assert idlest.blocks[0] == (8, 22)
+        # Alone from slot 30, it states its arm; player 1 joins it at one
+        # of slots 60-63, inside the window of slots 48-87.
+        joined = [start + n for start, n in idlest.blocks if start + n in range(60, 64)]
+        assert joined and joined[0] in idlest.stepped
+
 class TestIsolation:
     @pytest.mark.parametrize("blocks", [False, True], ids=["stepped", "blocks"])
     def test_engine_reads_only_the_contract(self, blocks):
@@ -757,7 +890,7 @@ class TestIsolation:
 
     def test_block_outcomes_carry_only_the_players_own_arm(self):
         """Each outcome is the hit observation of the arm stated at its position."""
-        for algorithm in ("highest-reward", "sic-sda", "sic-sdi"):
+        for algorithm in ("highest-reward", "idlest-arm", "sic-sda", "sic-sdi"):
             cls, forced = ALGORITHMS[algorithm]
             outcomes = []
 
@@ -774,7 +907,7 @@ class TestIsolation:
             spec = make_spec(horizon=3000, feedback=forced or Feedback.SDI)
             run(Recording, spec)
             assert outcomes, algorithm
-            for (n, arms), block in outcomes:
+            for (n, arms, *_), block in outcomes:
                 assert block and sum(slots for _, _, slots in block) <= n
                 for j, (obs, hits, slots) in enumerate(block):
                     assert type(obs) is Observation

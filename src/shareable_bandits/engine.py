@@ -27,22 +27,31 @@ Three things keep ``run`` cheap without changing a single output value:
   first position that breaks one, stepping the slot when that is position
   0. It counts each position's hits on each occupied arm in the drawn
   chunks, P rows apart, and draws the chunks at the slots stepping would.
-  It adds each position's gap slot by slot, fills the checkpoints and the
-  optimality mask, and keeps calling ``probe`` every slot. A player that
-  answers None is stepped, and so is everyone else in that slot.
+  When P is at least the block's length, as in SIC's communication stages,
+  no position repeats and every slot is its own position: the engine then
+  takes at most ``_SPAN`` slots, reads each slot's draws from its row, and
+  builds each player's outcomes at C level by indexing its interned
+  one-slot outcomes with its arm's draw, with no Python loop over the
+  player-slots. Either way it adds each position's gap slot by slot, fills
+  the checkpoints and the optimality mask, and keeps calling ``probe``
+  every slot. A player that answers None is stepped, and so is everyone
+  else in that slot.
 - **Interned observations.** A player's observation depends only on its
   arm, its arm's count and the arm's draw. ``run`` builds the two
   observations for each (arm, count), one for a 0 draw and one for a 1,
-  the first time a plan needs them, so a run builds at most 2·K·M of
-  them and a stepped player-slot builds none. ``run`` also binds every
-  player's ``next_action`` and ``observe`` once, before the first slot.
+  and the two one-slot block outcomes, the first time a plan needs them,
+  so a run builds at most 2·K·M of each and a stepped player-slot or a
+  one-slot position builds none. ``run`` also binds every player's
+  ``next_action`` and ``observe`` once, before the first slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import cycle as cycle_of
+from itertools import islice
 from math import lcm
+from operator import getitem, itemgetter
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -56,6 +65,7 @@ from .model import (
 )
 
 _CHUNK = 8192  # slots of pre-drawn arm randomness held at a time
+_SPAN = 1024  # most slots of a block in which no position repeats
 # Slot plans kept per run; the memo starts over past this, so a policy whose
 # action tuples rarely repeat cannot grow it without bound.
 _MAX_PLANS = 4096
@@ -126,9 +136,12 @@ class Policy(Protocol):
     the slot for everyone, and otherwise it takes the shortest stated
     block, however short, up to the first slot that breaks a stated flag:
     it calls each player's ``observe_block`` once for it, and no other
-    method in it. ``phase`` is read after a block's last
-    slot, so a policy may change it only at a block end. A player committed
-    to one arm for good states ``(T - t, (arm,))``.
+    method in it. When P is at least that length, it takes at most
+    ``_SPAN`` (1,024) of its slots and then asks again, so a policy counts
+    the slots it is given rather than assume its whole statement. ``phase``
+    is read after a block's last slot, so a policy may change it only at a
+    block end. A player committed to one arm for good states
+    ``(T - t, (arm,))``.
 
     The engine reads ``next_action``, ``observe`` and ``schedule`` once
     per run, before the first slot, and calls those bound methods. It reads
@@ -149,6 +162,9 @@ Probe = Callable[[int, Sequence[Policy], dict[int, int]], None]
 # One player's part of a slot plan: its observation when its arm's X_k is 0
 # and when it is 1. The second carries the capped factor min(a_k, m_k).
 _Entry = tuple[Observation, Observation]
+# The same player's ``observe_block`` outcome of one slot, (hit obs, X_k, 1),
+# when X_k is 0 and when it is 1.
+_Single = tuple[tuple[Observation, int, int], tuple[Observation, int, int]]
 
 
 @dataclass
@@ -172,14 +188,14 @@ def _plan(
     actions: Sequence[int],
     caps: Sequence[int],
     sdi: bool,
-    entries: dict[tuple[int, int], _Entry],
-) -> tuple[dict[int, int], tuple[_Entry, ...]]:
+    entries: dict[tuple[int, int], tuple[_Entry, _Single]],
+) -> tuple[dict[int, int], tuple[_Entry, ...], tuple[_Single, ...]]:
     """Apply the reward rule min(a_k, m_k) * X_k to one action profile.
 
     Returns the players per arm, in first-appearance order, and each
-    player's entry in action order; a player's reward is its factor when its
-    arm's X_k is 1 and 0.0 otherwise. ``entries`` interns entries by
-    (arm, count), so plans that share them share the observations.
+    player's entry and single outcomes in action order; a player's reward is
+    its factor when its arm's X_k is 1 and 0.0 otherwise. ``entries`` interns
+    both by (arm, count), so plans that share them share the objects.
     """
     num_arms = len(caps)
     counts: dict[int, int] = {}
@@ -191,18 +207,21 @@ def _plan(
         else:
             raise InvalidActionError(f"arm index {a} out of range [0, {num_arms})")
     players = []
+    singles = []
     for a in actions:
         c = counts[a]
-        entry = entries.get((a, c))
-        if entry is None:
+        interned = entries.get((a, c))
+        if interned is None:
             factor = float(c if c <= caps[a] else caps[a])
             count = c if sdi else None
-            entry = entries[a, c] = (
-                Observation(a, 0.0, count, c > 1),
-                Observation(a, factor, count, c > 1),
+            hit = Observation(a, factor, count, c > 1)
+            interned = entries[a, c] = (
+                (Observation(a, 0.0, count, c > 1), hit),
+                ((hit, 0, 1), (hit, 1, 1)),
             )
-        players.append(entry)
-    return counts, tuple(players)
+        players.append(interned[0])
+        singles.append(interned[1])
+    return counts, tuple(players), tuple(singles)
 
 
 def _raised_by(tb, policies: Sequence[Policy]) -> tuple[int, str] | None:
@@ -275,18 +294,18 @@ def run(
     phase_events: list[tuple[int, str]] = []
     last_phase: str | None = None
 
-    # action tuple -> (player entries, gap, optimal, counts)
+    # action tuple -> (player entries, gap, optimal, counts, player singles)
     plans: dict[tuple[int, ...], tuple] = {}
-    entries: dict[tuple[int, int], _Entry] = {}
+    entries: dict[tuple[int, int], tuple[_Entry, _Single]] = {}
 
-    def plan_for(arms: list[int]) -> tuple:
-        counts, players = _plan(arms, caps, sdi, entries)
+    def plan_for(arms: Sequence[int]) -> tuple:
+        counts, players, singles = _plan(arms, caps, sdi, entries)
         f_t = 0.0
         for a, c in counts.items():
             f_t += (c if c <= caps[a] else caps[a]) * means[a]
         if len(plans) == _MAX_PLANS:
             plans.clear()
-        plan = plans[tuple(arms)] = (players, fstar - f_t, counts == opt_items, counts)
+        plan = plans[tuple(arms)] = (players, fstar - f_t, counts == opt_items, counts, singles)
         return plan
 
     regret = 0.0
@@ -339,11 +358,14 @@ def run(
                         n = min(n, m)
                         period = lcm(period, len(cycle))
                         cycles.append(cycle)
+                    if period >= n:
+                        # No position repeats, so each slot is one: take at
+                        # most _SPAN of them, as the outcomes hold one per slot.
+                        n = min(n, _SPAN)
                     width = min(n, period)  # positions the block reaches
                     at = []  # the plan of each position
-                    for j in range(width):
-                        arms = [cycle[j % len(cycle)] for cycle in cycles]
-                        plan = plans.get(tuple(arms)) or plan_for(arms)
+                    for j, arms in enumerate(islice(zip(*map(cycle_of, cycles)), width)):
+                        plan = plans.get(arms) or plan_for(arms)
                         counts = plan[3]
                         if conditions and any(
                             (counts[arms[i]] > 1) is not shared for i, shared in conditions
@@ -361,47 +383,62 @@ def run(
                 offset += K
 
                 arms = [next_action(t) for next_action in next_actions]
-                players, gap, optimal, counts = plans.get(tuple(arms)) or plan_for(arms)
+                players, gap, optimal, counts, _ = plans.get(tuple(arms)) or plan_for(arms)
                 for observe, a, (miss, hit) in zip(observers, arms, players):
                     observe(hit if row[a] else miss)
             else:
                 last = t + n - 1
+                per_slot = period >= n
                 # Hits per (position, occupied arm), counted in each chunk the
                 # block spans; chunks are drawn at the slots stepping would.
-                # Position j's slots are P rows apart.
-                hits = [dict.fromkeys(plan[3], 0) for plan in at]
+                # Position j's slots are P rows apart. When each slot is its
+                # own position, its rows are kept instead, K bytes per slot.
+                hits = [] if per_slot else [dict.fromkeys(plan[3], 0) for plan in at]
+                rows = []
                 stride = K * period
                 s = t
                 while s <= last:
                     if offset == len(draws):
                         offset = 0
                         draws = draw(s)
-                    rows = min(last + 1 - s, (len(draws) - offset) // K)
-                    stop = offset + rows * K
-                    for j, counted in enumerate(hits):
-                        start = offset + (j - (s - t)) % period * K
-                        for a in counted:
-                            counted[a] += draws[start + a : stop : stride].count(1)
+                    take = min(last + 1 - s, (len(draws) - offset) // K)
+                    stop = offset + take * K
+                    if per_slot:
+                        rows += [draws[o : o + K] for o in range(offset, stop, K)]
+                    else:
+                        for j, counted in enumerate(hits):
+                            start = offset + (j - (s - t)) % period * K
+                            for a in counted:
+                                counted[a] += draws[start + a : stop : stride].count(1)
                     offset = stop
-                    s += rows
-                for i, (policy, cycle) in enumerate(zip(policies, cycles)):
-                    size = len(cycle)
-                    policy.observe_block([
-                        (at[j][0][i][1], hits[j][cycle[j % size]], (n - j - 1) // period + 1)
-                        for j in range(width)
-                    ])
+                    s += take
+                if per_slot:
+                    # Each player's outcomes are built at C level: per slot,
+                    # its single outcomes there indexed by its arm's draw.
+                    for policy, singles, cycle in zip(
+                        policies, zip(*map(itemgetter(4), at)), cycles
+                    ):
+                        drawn = map(getitem, rows, cycle_of(cycle))
+                        policy.observe_block(list(map(getitem, singles, drawn)))
+                else:
+                    for i, (policy, cycle) in enumerate(zip(policies, cycles)):
+                        size = len(cycle)
+                        policy.observe_block([
+                            (at[j][0][i][1], hits[j][cycle[j % size]], (n - j - 1) // period + 1)
+                            for j in range(width)
+                        ])
                 # Every slot of the block but its last, which the tail below
                 # takes. Regret is added slot by slot: n * gap rounds otherwise.
-                for j, (_, _, optimal, _) in enumerate(at):
+                for j, (_, _, optimal, _, _) in enumerate(at):
                     if optimal:
                         optimal_mask[t + j : last : period] = True
-                for s, (_, gap, _, counts) in zip(range(t, last), cycle_of(at)):
+                for s, (_, gap, _, counts, _) in zip(range(t, last), cycle_of(at)):
                     regret += gap
                     if s + 1 in cp_set:
                         cp_regret.append(regret)
                     if probe is not None:
                         probe(s, policies, counts)
-                _, gap, optimal, counts = at[(n - 1) % period]
+                _, gap, optimal, counts, _ = at[(n - 1) % period]
                 t = last
 
             regret += gap

@@ -24,6 +24,13 @@ payload stage sized by the mask. A stage with no pairs ends at once, so a
 lone active player spends no slot communicating. At the end of a broadcast
 every player, the leader included, decodes the same bits.
 
+Every arm a player plays in a stage is known when the stage starts, so the
+stage is a plan: one arm per slot, and the range of slots whose shared
+flags the player keeps (all of an upload for the leader, its own pair of a
+broadcast for a follower). The rank sweep is a plan too, heard in full.
+The engine takes a plan as blocks (``schedule``, ``observe_block``); only
+orthogonalization is stepped.
+
 Extensions beyond SIC-MMAB, all but the last aimed at the cost of
 communication:
 
@@ -226,10 +233,12 @@ class SicSdaPolicy:
     Only the 1-bit shared flag is consumed, so count feedback degrades
     gracefully to the same behaviour (the SDI adapter is this same class).
 
-    Each exploration stage is fixed when it starts, so the rest of it is an
-    engine block (``schedule``), and so is the exploit phase: one arm to the
-    horizon. Orthogonalization, rank assignment and communication are
-    stepped: a listener reads the shared flag slot by slot.
+    Every mode but orthogonalization is fixed when it starts, so the rest
+    of it is an engine block (``schedule``): an exploration stage, the rank
+    sweep and each communication stage (the rest of its plan), and the
+    exploit phase, one arm to the horizon. One slot counter and one length
+    cover every mode, and ``_end_stage`` says what follows each. A stepped
+    ``observe`` goes through ``observe_block``. Orthogonalization is stepped.
     """
 
     def __init__(
@@ -249,9 +258,6 @@ class SicSdaPolicy:
         self.exploit_arm: int | None = None
 
         self._ortho = Orthogonalization(self.num_arms - 1, self.rng)
-        self._rank_slot = 0
-        self._rank_flags = 0
-        self._total_flags = 0
 
         # Shared loop state (identical across active players).
         self.active: list[int] = list(range(self.num_arms))
@@ -262,11 +268,16 @@ class SicSdaPolicy:
         self.upper: list[int] = []
 
         self._slot = 0  # slot counter within the current mode
+        self._len = 0  # slots of the current mode, up to its end handler
         self._ue_arms: list[int] = []
         self._anchor: int | None = None
         self._seat = 0  # arm held while idle during communication
         self._phase_sums: list[int] = [0] * self.num_arms
 
+        # Planned stages (the rank sweep and communication): the arm of every
+        # slot, and the slots [lo, hi) whose shared flags go to the inbox.
+        self._plan: list[int] = []
+        self._listen = (0, 0)
         # Communication: stages of (speaker rank, listener rank) pairs.
         self._pairs: list[tuple[int, int]] = []
         self._stage_len = 0  # bits each pair moves in the current stage
@@ -284,16 +295,36 @@ class SicSdaPolicy:
     def is_leader(self) -> bool:
         return self.rank == 1
 
-    def _begin_explore(self) -> None:
-        self._mode = _IE
-        self.phase = "explore"
+    def _begin(self, mode: str, length: int) -> None:
+        """Enter ``mode`` for ``length`` slots; ``_end_stage`` runs after them."""
+        self._mode = mode
         self._slot = 0
+        self._len = length
+
+    def _begin_plan(self, mode: str, plan: list[int], listen: tuple[int, int]) -> None:
+        """Enter a planned stage: ``plan`` holds the arm of each of its slots."""
+        self._plan = plan
+        self._listen = listen
+        self._begin(mode, len(plan))
+        if not plan:
+            self._end_stage()
+
+    def _begin_explore(self) -> None:
+        self.phase = "explore"
         self._phase_sums = [0] * self.num_arms
         self._anchor = None
         if self.rank > len(self.active):
             self._anchor = anchored_arm(self.rank, self.active, self.lower)
         self._seat = comm_seat(self.rank, self.active, self.lower)
         self._ue_arms = [k for k in self.active if self.lower[k] != self.upper[k]]
+        self._begin(_IE, len(self.active) << self.phase_num)
+
+    def _begin_rank_sweep(self) -> None:
+        # Every player listens to the whole sweep.
+        claim, sweep = self._ortho.claim + 1, 2 * self.num_arms - 2
+        plan = [rank_assign_arm(claim, s, self.num_arms) for s in range(1, sweep + 1)]
+        self._inbox = []
+        self._begin_plan(_RANK, plan, (0, sweep))
 
     # -- communication: speaker -> listener stages on the read arm -----------
 
@@ -318,18 +349,52 @@ class SicSdaPolicy:
         self, mode: str, pairs: list[tuple[int, int]], stage_len: int, start: int = 0
     ) -> None:
         """Each pair in turn moves ``stage_len`` bits, from the speaker's
-        outbox at ``start`` into the listener's inbox."""
-        self._mode = mode
+        outbox at ``start`` into the listener's inbox.
+
+        The plan fixes every slot's arm: a listener sits on the read arm; a
+        speaker joins it for a 1 bit and otherwise keeps its seat, or takes
+        the listener's if it is the leader; everyone else keeps its seat. A
+        player listens to one pair (a follower in a broadcast) or to all of
+        them (the leader in an upload), so its listening slots are one range.
+        With no pairs (one active player) the stage ends at once.
+        """
         self.phase = "comm"
         self._pairs = pairs
         self._stage_len = stage_len
         self._stage_start = start
-        self._slot = 0
-        if not pairs:
-            self._end_stage()  # one active player: nobody to talk to
+        read, rank = self.active[0], self.rank
+        plan: list[int] = []
+        heard = []
+        for p, (speaker, listener) in enumerate(pairs):
+            if rank == listener:
+                plan += [read] * stage_len
+                heard.append(p)
+            elif rank == speaker:
+                zero = self._seat
+                if self.is_leader:
+                    zero = comm_seat(listener, self.active, self.lower)
+                plan += [read if bit else zero for bit in self._outbox[start : start + stage_len]]
+            else:
+                plan += [self._seat] * stage_len
+        listen = (heard[0] * stage_len, (heard[-1] + 1) * stage_len) if heard else (0, 0)
+        self._begin_plan(mode, plan, listen)
 
     def _end_stage(self) -> None:
-        if self._mode == _BACK:
+        """What follows the current mode's last slot."""
+        mode = self._mode
+        if mode == _IE and self._ue_arms:
+            self._begin(_UE, len(self._ue_arms) << self.phase_num)
+            return
+        if mode == _IE or mode == _UE:
+            self._begin_upload()
+            return
+        if mode == _RANK:
+            flags = self._inbox  # a claim's rank counts the first 2 * claim
+            self.rank = 1 + sum(flags[: 2 * (self._ortho.claim + 1)])
+            self.num_players = 1 + sum(flags)
+            self._start_loop()
+            return
+        if mode == _BACK:
             if self.is_leader:
                 self._leader_merge()
             self._begin_broadcast()
@@ -423,25 +488,25 @@ class SicSdaPolicy:
     # -- engine interface -----------------------------------------------------
 
     def schedule(self, t: int) -> tuple[int, tuple[int, ...]] | None:
-        """The rest of an exploration stage or of the run as an engine block, or None.
+        """The rest of the current stage or of the run as an engine block, or None.
 
         Individual exploration: a rotating rank cycles through the active
         arms from ``active[(rank - 1 + t) % K_t]``, an anchor sits still.
         United exploration: everyone cycles through the rally arms, and a
-        rank above an arm's upper bound holds its seat instead. Exploit: the
-        exploit arm until the horizon.
+        rank above an arm's upper bound holds its seat instead. The rank
+        sweep and communication: the rest of the plan. Exploit: the exploit
+        arm until the horizon. Orthogonalization: None.
         """
         mode = self._mode
+        n = self._len - self._slot
         if mode == _IE:
-            active = self.active
-            n = (len(active) << self.phase_num) - self._slot
             if self._anchor is not None:
                 return n, (self._anchor,)
+            active = self.active
             k = (self.rank - 1 + t) % len(active)
             return n, tuple(active[k:] + active[:k])
         if mode == _UE:
             rally = self._ue_arms
-            n = (len(rally) << self.phase_num) - self._slot
             k = self._slot % len(rally)
             # Only upper-bound many players are needed to saturate an arm.
             return n, tuple(
@@ -450,91 +515,54 @@ class SicSdaPolicy:
             )
         if mode == _EXPLOIT:
             return self.horizon - t, (self.exploit_arm,)
-        return None
+        if mode == _ORTHO:
+            return None
+        return n, tuple(self._plan[self._slot :])
 
     def observe_block(self, outcomes: list[tuple[Observation, int, int]]) -> None:
-        """Fold exploration outcomes, one (hit obs, hits, slots) per position."""
-        if self._mode == _EXPLOIT:
+        """Fold a block's outcomes, one (hit obs, hits, slots) per position."""
+        mode = self._mode
+        if mode == _EXPLOIT:
             return
-        if self._mode == _IE:
+        if mode == _IE:
             if self._anchor is None:
                 sums = self._phase_sums
                 for obs, hits, _ in outcomes:
                     sums[obs.arm] += int(obs.reward + 0.5) * hits
-            end = len(self.active) << self.phase_num
-        else:
+            self._slot += sum(slots for _, _, slots in outcomes)
+        elif mode == _UE:
             if self.is_leader:
                 for obs, hits, slots in outcomes:
                     self.stats.add_united(obs.arm, obs.reward * hits, slots)
-            end = len(self._ue_arms) << self.phase_num
-        self._slot += sum(slots for _, _, slots in outcomes)
-        if self._slot == end:
-            if self._mode == _IE and self._ue_arms:
-                self._mode = _UE
-                self._slot = 0
-            else:
-                self._begin_upload()
+            self._slot += sum(slots for _, _, slots in outcomes)
+        else:
+            # A planned stage states the rest of its plan, so each outcome
+            # is one slot. The shared flag does not depend on the draw.
+            slot = self._slot
+            lo, hi = self._listen
+            heard = outcomes[max(lo - slot, 0) : max(hi - slot, 0)]
+            self._inbox += [1 if obs.shared else 0 for obs, _, _ in heard]
+            self._slot = slot + len(outcomes)
+        if self._slot == self._len:
+            self._end_stage()
 
     def next_action(self, t: int) -> int:
         mode = self._mode
         if mode == _EXPLOIT:
             return self.exploit_arm
-        if mode == _IE or mode == _UE:
-            return self.schedule(t)[1][0]
-        if mode == _BACK or mode == _FORTH:
-            pair, bit = divmod(self._slot, self._stage_len)
-            speaker, listener = self._pairs[pair]
-            if self.rank == listener:
-                return self.active[0]
-            if self.rank == speaker:
-                if self._outbox[self._stage_start + bit]:
-                    return self.active[0]
-                if self.is_leader:
-                    return comm_seat(listener, self.active, self.lower)
-            return self._seat
         if mode == _ORTHO:
             return self._ortho.next_arm()
-        if mode == _RANK:
-            return rank_assign_arm(
-                self._ortho.claim + 1, self._rank_slot + 1, self.num_arms
-            )
-        raise RuntimeError(f"unknown mode {mode!r}")
+        if mode == _IE or mode == _UE:
+            return self.schedule(t)[1][0]
+        return self._plan[self._slot]
 
     def observe(self, obs: Observation) -> None:
-        mode = self._mode
-        if mode == _EXPLOIT:
-            return
-        if mode == _IE or mode == _UE:
+        if self._mode == _ORTHO:
+            if self._ortho.observe(obs.shared):
+                self._begin_rank_sweep()
+        else:
             # A miss carries reward 0, so one hit of it adds nothing.
             self.observe_block([(obs, 1, 1)])
-        elif mode == _BACK or mode == _FORTH:
-            self._observe_comm(obs)
-        elif mode == _ORTHO:
-            if self._ortho.observe(obs.shared):
-                self._mode = _RANK
-        else:
-            self._observe_rank(obs)
-
-    # -- per-mode observation handlers ----------------------------------------
-
-    def _observe_comm(self, obs: Observation) -> None:
-        if self.rank == self._pairs[self._slot // self._stage_len][1]:
-            self._inbox.append(1 if obs.shared else 0)
-        self._slot += 1
-        if self._slot == len(self._pairs) * self._stage_len:
-            self._end_stage()
-
-    def _observe_rank(self, obs: Observation) -> None:
-        slot = self._rank_slot + 1  # 1-based sweep slot just played
-        if obs.shared:
-            self._total_flags += 1
-            if slot <= 2 * (self._ortho.claim + 1):
-                self._rank_flags += 1
-        self._rank_slot += 1
-        if self._rank_slot == 2 * self.num_arms - 2:
-            self.rank = 1 + self._rank_flags
-            self.num_players = 1 + self._total_flags
-            self._start_loop()
 
     def _start_loop(self) -> None:
         self.active = list(range(self.num_arms))

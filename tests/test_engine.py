@@ -471,12 +471,28 @@ BLOCK_CASES = {
 }
 
 
-# SIC runs that spend most player-slots exploring: (algorithm, spec
-# overrides, engine._CHUNK). In the first, 4 players share 5 arms and two
-# arms take 3 each, so anchored players sit still while the rest rotate. In
-# the second, capacities stay unlearned for long, so united-exploration
-# rallies run, with seats for ranks above an arm's upper bound; it draws 7
-# slots per chunk, so its blocks straddle chunk refills.
+# Cellular-shaped: K = 20, M = 18, the preset's means and capacities.
+CELLULAR_LIKE = dict(
+    num_arms=20, num_players=18, horizon=3000,
+    means=(
+        0.8333333333, 0.9090909091, 0.2380952381, 0.25, 0.2222222222, 0.2857142857,
+        0.2, 0.2380952381, 0.1818181818, 0.2564102564, 0.2083333333, 0.1818181818,
+        0.2702702703, 0.2127659574, 0.3125, 0.1960784314, 0.2272727273, 0.1886792453,
+        0.2040816327, 0.243902439,
+    ),
+    capacities=(9, 8) + (1,) * 18,
+)
+
+
+# SIC runs, each mostly blocks: (algorithm, spec overrides, engine._CHUNK,
+# engine._SPAN). In the first, 4 players share 5 arms and two arms take 3
+# each, so anchored players sit still while the rest rotate. In the second,
+# capacities stay unlearned for long, so united-exploration rallies run, with
+# seats for ranks above an arm's upper bound; it draws 7 slots per chunk, so
+# its blocks straddle chunk refills. The cellular-shaped ones (K = 20, M = 18)
+# spend most slots communicating; their third upload, 17 pairs of 80 bits,
+# is longer than a span, so one of its blocks ends mid-pair. The last cuts
+# every communication stage into blocks of 5 slots.
 SIC_BLOCK_CASES = {
     "sda-anchors": (
         "sic-sda",
@@ -485,11 +501,24 @@ SIC_BLOCK_CASES = {
             capacities=(3, 3, 1, 1, 1), horizon=5000, seed=2,
         ),
         engine._CHUNK,
+        engine._SPAN,
     ),
     "sdi-rallies-chunk-7": (
         "sic-sdi",
         dict(means=(0.9, 0.85, 0.8, 0.75), capacities=(1, 1, 2, 1), horizon=4000),
         7,
+        engine._SPAN,
+    ),
+    "cellular-sda": ("sic-sda", dict(CELLULAR_LIKE, horizon=6000), engine._CHUNK, engine._SPAN),
+    "cellular-sdi-chunk-7": ("sic-sdi", dict(CELLULAR_LIKE, horizon=6000), 7, engine._SPAN),
+    "sda-anchors-span-5": (
+        "sic-sda",
+        dict(
+            num_arms=5, num_players=4, means=(0.9, 0.88, 0.3, 0.2, 0.1),
+            capacities=(3, 3, 1, 1, 1), horizon=5000, seed=2,
+        ),
+        engine._CHUNK,
+        5,
     ),
 }
 
@@ -524,21 +553,33 @@ class TestNaiveLoop:
 
     @pytest.mark.parametrize("case", SIC_BLOCK_CASES)
     def test_sic_blocks_equal_naive_loop(self, monkeypatch, case):
-        algorithm, overrides, chunk = SIC_BLOCK_CASES[case]
+        algorithm, overrides, chunk, span = SIC_BLOCK_CASES[case]
         monkeypatch.setattr(engine, "_CHUNK", chunk)
+        monkeypatch.setattr(engine, "_SPAN", span)
         forced = ALGORITHMS[algorithm][1]  # both run SicSdaPolicy
         in_blocks = []
+        comm = []  # (slots, whether the block ends mid-pair) per communication block
 
         class Counted(SicSdaPolicy):
             def observe_block(self, outcomes):
-                in_blocks.append(sum(slots for _, _, slots in outcomes))
+                slots = sum(slots for _, _, slots in outcomes)
+                in_blocks.append(slots)
+                if self.phase == "comm":
+                    comm.append((slots, (self._slot + slots) % self._stage_len != 0))
                 super().observe_block(outcomes)
 
         spec = dataclasses.replace(make_spec(**overrides), feedback=forced)
         assert_run_equals_naive_loop(Counted, spec)
         assert sum(in_blocks) > spec.horizon * spec.num_players // 2
+        assert comm, "no communication slot came in a block"
         if case == "sdi-rallies-chunk-7":
             assert max(in_blocks) > 2 * chunk
+        if case.startswith("cellular"):
+            assert sum(slots for slots, _ in comm) > spec.horizon * spec.num_players // 2
+            assert max(comm) == (span, True)
+        if case.endswith("span-5"):
+            assert max(in_blocks) > span  # exploration is not cut
+            assert max(comm) == (span, True)
 
     def test_full_memo_starts_over(self, monkeypatch):
         monkeypatch.setattr(engine, "_MAX_PLANS", 8)
@@ -689,6 +730,10 @@ class TestCycleBlocks:
 
         spec = make_spec(horizon=50)
         run(self.factory([]), spec, probe=probe)
+        # X_k of every slot, from the run's environment stream.
+        env_seed = np.random.SeedSequence(spec.seed).spawn(spec.num_players + 1)[0]
+        rng = np.random.Generator(np.random.PCG64(env_seed))
+        drawn = rng.random((spec.horizon, spec.num_arms)) < np.asarray(spec.means)
         starts = [(10, 6), (16, 8), (24, 8), (32, 8), (40, 8), (48, 2)]
         assert grabbed[0].blocks == starts
         for i, cycle in self.CYCLES.items():
@@ -703,20 +748,7 @@ class TestCycleBlocks:
                     assert (obs.arm, obs.count) == (arm, count)
                     assert obs.reward == min(count, spec.capacities[arm])
                     assert slots == len(range(j, n, 6))
-                    assert 0 <= hits <= slots
-
-
-# Cellular-shaped: K = 20, M = 18, the preset's means and capacities.
-CELLULAR_LIKE = dict(
-    num_arms=20, num_players=18, horizon=3000,
-    means=(
-        0.8333333333, 0.9090909091, 0.2380952381, 0.25, 0.2222222222, 0.2857142857,
-        0.2, 0.2380952381, 0.1818181818, 0.2564102564, 0.2083333333, 0.1818181818,
-        0.2702702703, 0.2127659574, 0.3125, 0.1960784314, 0.2272727273, 0.1886792453,
-        0.2040816327, 0.243902439,
-    ),
-    capacities=(9, 8) + (1,) * 18,
-)
+                    assert hits == sum(drawn[start + j : start + n : 6, arm])
 
 
 class CountedIdlestArm(IdlestArmPolicy):

@@ -3,16 +3,21 @@
 dpe-sdi and sic-sda run on environments with tied means, means in {0, 1},
 capacities all 1 or all M, one player, and one arm more than players. Each
 run must raise nothing and pay no slot above the optimum, and DPE players'
-views must agree whenever every player starts a round.
+views must agree whenever every player starts a round. On the same
+environments sic-sda and sic-sdi, which take most slots in engine blocks,
+must give the trace of ``oracles.naive_run``, which steps every slot.
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import naive_run
 
 from shareable_bandits.dpe import DpeSdiPolicy
-from shareable_bandits.engine import run
-from shareable_bandits.model import EnvSpec, Feedback
+from shareable_bandits.engine import PublicEnvInfo, run
+from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for
+from shareable_bandits.scenarios import ALGORITHMS
 from shareable_bandits.sic import SicSdaPolicy
 
 POLICIES = {
@@ -82,3 +87,28 @@ def test_full_runs_stay_sound(algorithm, env):
     run(policy, spec, probe=probe)
     assert negative == []
     assert desync == []
+
+
+@pytest.mark.parametrize("algorithm", ["sic-sda", "sic-sdi"])
+@settings(max_examples=200, deadline=None)
+@given(env=environments())
+# One player (each stage ends at once); tied means; means in {0, 1}.
+@example(env=(2, 1, (0.5, 0.5), (1, 1), 600, 1))
+@example(env=(5, 3, (0.4, 0.4, 0.4, 0.4, 0.4), (1, 1, 1, 1, 1), 800, 3))
+@example(env=(4, 3, (1.0, 0.0, 1.0, 0.0), (3, 3, 3, 3), 800, 2))
+def test_sic_blocks_equal_naive_loop(algorithm, env):
+    num_arms, num_players, means, caps, horizon, seed = env
+    policy, feedback = ALGORITHMS[algorithm]
+    spec = EnvSpec(num_arms, num_players, means, caps, horizon, feedback=feedback, seed=seed)
+    opt = optimal_profile_for(spec)
+    checkpoints = sorted({1, horizon // 2, horizon})
+    trace = run(policy, spec, checkpoints=checkpoints)
+    want = naive_run(
+        policy, lambda rng: PublicEnvInfo(num_arms, horizon, feedback, rng),
+        spec, feedback is Feedback.SDI, opt.value, opt.profile.counts, checkpoints,
+    )
+    for field, value in want.items():
+        if field == "optimal_mask":
+            assert np.array_equal(trace.optimal_mask, value)
+        else:
+            assert getattr(trace, field) == value, field

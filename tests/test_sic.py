@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from shareable_bandits.engine import PublicEnvInfo, run
 from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for
 from shareable_bandits.protocol import (
+    NUM_FLAG_STEPS,
     LeaderDecision,
     ProtocolCorruptionError,
     decode_bits,
     encode_stat,
 )
+from shareable_bandits.scenarios import load_scenario
 from shareable_bandits.sic import (
     SicSdaPolicy,
     anchored_arm,
@@ -361,17 +364,82 @@ class TestSchedule:
             Checked, lambda rng: PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng),
             spec, False, opt.value, opt.profile.counts, [],
         )
-        stepped = {"orthogonalize", "rank-assign", "comm-upload", "comm-broadcast"}
-        blocks = {"explore-individual", "explore-united", "exploit"}
-        assert modes == {(m, True) for m in stepped} | {(m, False) for m in blocks}
+        blocks = {"rank-assign", "explore-individual", "explore-united", "comm-upload",
+                  "comm-broadcast", "exploit"}
+        assert modes == {("orthogonalize", True)} | {(m, False) for m in blocks}
+
+
+class TestPlannedStages:
+    """The rank sweep and communication are planned stages, taken as engine blocks."""
+
+    def test_cellular_steps_only_orthogonalization(self):
+        """At seed 0 of ``cellular-5g4g`` only orthogonalization is stepped."""
+        scenario = load_scenario("cellular-5g4g")
+        spec = scenario.env_spec("sic-sda", 0)
+        stepped = []
+
+        class Counted(SicSdaPolicy):
+            def next_action(self, t):
+                stepped.append(self._mode)
+                return super().next_action(t)
+
+        trace = run(Counted, spec, checkpoints=scenario.checkpoints)
+        assert set(stepped) == {"orthogonalize"}
+        assert len(stepped) == 340 * spec.num_players
+        assert trace.final_regret == 626344.9494259284
+
+    def test_a_corrupt_broadcast_names_its_block(self):
+        """A follower whose heard bits decode to two least-favored arms raises
+        from the end of the stage, inside ``observe_block``, and the error
+        names the block's slots, the player and its phase."""
+        spec = make_spec(horizon=6000)
+        blocks = {}  # player -> (first slot, slots) of its last block
+
+        class Corrupted(SicSdaPolicy):
+            def __init__(self, player_id, env):
+                super().__init__(player_id, env)
+                self.player_id = player_id
+
+            def schedule(self, t):
+                self.asked = t  # the last query before a block is at its start
+                return super().schedule(t)
+
+            def observe_block(self, outcomes):
+                blocks[self.player_id] = (self.asked, len(outcomes))
+                super().observe_block(outcomes)
+
+            def _end_stage(self):
+                k_t = len(self.active)
+                news = [i for i, bit in enumerate(self._inbox[:k_t]) if bit]
+                if self._mode == "comm-broadcast" and self._stage_start and len(news) > 1:
+                    # Raise the least-favored flag of every arm with news.
+                    for n, _ in enumerate(news):
+                        self._inbox[k_t + n * (NUM_FLAG_STEPS + 2 * self._bound_nbits) + 2] = 1
+                super()._end_stage()
+
+        with pytest.raises(ProtocolCorruptionError) as raised:
+            run(Corrupted, spec)
+        message = str(raised.value)
+        found = re.fullmatch(
+            r"two different least-favored signals at slots (\d+)-(\d+), "
+            r"player (\d+) in phase 'comm'",
+            message,
+        )
+        assert found, message
+        first, last, player = map(int, found.groups())
+        start, slots = blocks[player]
+        assert (first, last) == (start, start + slots - 1)
 
 
 class TestCommunicationSeats:
     """Who sits where while a speaker sends bits to a listener."""
 
     def test_read_arm_holds_only_the_signalling_pair(self):
-        # Arms 0 and 1 take 3 players each, so once the weak arms go the
-        # 4 players overflow 2 arms and anchors land on the read arm.
+        """Stepped slot by slot, so ``next_action`` shows each player's arm.
+
+        Arms 0 and 1 take 3 players each, so once the weak arms go the
+        4 players overflow 2 arms and anchors land on the read arm.
+        """
         spec = make_spec(
             num_arms=5, num_players=4, capacities=(3, 3, 1, 1, 1),
             means=(0.9, 0.8, 0.3, 0.2, 0.1),
@@ -393,7 +461,11 @@ class TestCommunicationSeats:
                 )
                 return arm
 
-        run(Recorded, spec)
+        opt = optimal_profile_for(spec)
+        naive_run(
+            Recorded, lambda rng: PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng),
+            spec, False, opt.value, opt.profile.counts, [],
+        )
         checked = {"comm-upload": 0, "comm-broadcast": 0}
         displaced_slots = 0
         for t, players in rows.items():

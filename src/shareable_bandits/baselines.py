@@ -8,6 +8,7 @@ choice every slot.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from heapq import heapify, heapreplace
 
 from .engine import Observation, PublicEnvInfo
@@ -59,7 +60,7 @@ class HighestRewardPolicy:
     def observe(self, obs: Observation) -> None:
         self._add(obs.arm, obs.reward, 1)
 
-    def observe_block(self, outcomes: list[tuple[Observation, int, int]]) -> None:
+    def observe_block(self, outcomes: Sequence[tuple[Observation, int, int]]) -> None:
         # Rewards are integer-valued, so each sum equals sequential additions.
         for obs, hits, slots in outcomes:
             self._add(obs.arm, obs.reward * hits, slots)
@@ -136,7 +137,7 @@ class IdlestArmPolicy:
             self._rebuild()
         self._best = heap[0][1]
 
-    def observe_block(self, outcomes: list[tuple[Observation, int, int]]) -> None:
+    def observe_block(self, outcomes: Sequence[tuple[Observation, int, int]]) -> None:
         # The rates are the same floats sequential observations give.
         for obs, _, slots in outcomes:
             self._pulls[obs.arm] += slots

@@ -29,13 +29,13 @@ Three things keep ``run`` cheap without changing a single output value:
   chunks, P rows apart, and draws the chunks at the slots stepping would.
   When P is at least the block's length, as in SIC's communication stages,
   no position repeats and every slot is its own position: the engine then
-  takes at most ``_SPAN`` slots, reads each slot's draws from its row, and
-  builds each player's outcomes at C level by indexing its interned
-  one-slot outcomes with its arm's draw, with no Python loop over the
-  player-slots. Either way it adds each position's gap slot by slot, fills
-  the checkpoints and the optimality mask, and keeps calling ``probe``
-  every slot. A player that answers None is stepped, and so is everyone
-  else in that slot.
+  takes at most ``_SPAN`` slots and keeps each slot's row of draws. Each
+  player's outcomes are then a read-only sequence whose entries, its
+  interned one-slot outcomes indexed by its arm's draw, are built only when
+  read. Either way the engine folds the positions' gaps into the regret at
+  C level, in slot order, between the checkpoints inside the block, fills
+  the optimality mask, and keeps calling ``probe`` every slot. A player
+  that answers None is stepped, and so is everyone else in that slot.
 - **Interned observations.** A player's observation depends only on its
   arm, its arm's count and the arm's draw. ``run`` builds the two
   observations for each (arm, count), one for a 0 draw and one for a 1,
@@ -47,12 +47,15 @@ Three things keep ``run`` cheap without changing a single output value:
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, islice, repeat
 from itertools import cycle as cycle_of
-from itertools import islice
 from math import lcm
-from operator import getitem, itemgetter
-from typing import Callable, Protocol, Sequence
+from operator import add, getitem, itemgetter, mod
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -65,7 +68,7 @@ from .model import (
 )
 
 _CHUNK = 8192  # slots of pre-drawn arm randomness held at a time
-_SPAN = 1024  # most slots of a block in which no position repeats
+_SPAN = 1024  # most slots of a block in which no position repeats (a row of K bytes each)
 # Slot plans kept per run; the memo starts over past this, so a policy whose
 # action tuples rarely repeat cannot grow it without bound.
 _MAX_PLANS = 4096
@@ -130,18 +133,21 @@ class Policy(Protocol):
       on the player's arm at that position, ``arms[j % len(arms)]``, with
       that arm's count there; ``slots`` is the number of the block's slots
       at position j, and ``hits`` the number of those whose draw was 1.
+      ``outcomes`` is a read-only sequence: it has a length and supports
+      iteration, indexing and slicing. When P is at least the block's
+      length, each entry is one slot's and is built when it is read.
 
     When every player states blocks, the engine asks them for their
     schedules in player order before each slot. At the first None it steps
     the slot for everyone, and otherwise it takes the shortest stated
     block, however short, up to the first slot that breaks a stated flag:
     it calls each player's ``observe_block`` once for it, and no other
-    method in it. When P is at least that length, it takes at most
-    ``_SPAN`` (1,024) of its slots and then asks again, so a policy counts
-    the slots it is given rather than assume its whole statement. ``phase``
-    is read after a block's last slot, so a policy may change it only at a
-    block end. A player committed to one arm for good states
-    ``(T - t, (arm,))``.
+    method in it. When P is at least that length, it keeps a row of K
+    draws per slot, so it takes at most ``_SPAN`` (1,024) of its slots and
+    then asks again: a policy counts the slots it is given rather than
+    assume its whole statement. ``phase`` is read after a block's last
+    slot, so a policy may change it only at a block end. A player committed
+    to one arm for good states ``(T - t, (arm,))``.
 
     The engine reads ``next_action``, ``observe`` and ``schedule`` once
     per run, before the first slot, and calls those bound methods. It reads
@@ -165,6 +171,41 @@ _Entry = tuple[Observation, Observation]
 # The same player's ``observe_block`` outcome of one slot, (hit obs, X_k, 1),
 # when X_k is 0 and when it is 1.
 _Single = tuple[tuple[Observation, int, int], tuple[Observation, int, int]]
+
+
+class _PerSlot(Sequence):
+    """One player's outcomes of a block with one slot per position.
+
+    Entry j is the player's single outcome at position j, indexed by its
+    arm's draw in slot j's row. Entries are built when read, so a player
+    that reads only the length builds none.
+    """
+
+    __slots__ = ("_at", "_rows", "_cycle", "_player", "_n")
+
+    def __init__(
+        self, at: list[tuple], rows: list[bytes], cycle: tuple[int, ...], player: int, n: int
+    ) -> None:
+        self._at, self._rows, self._cycle, self._player, self._n = at, rows, cycle, player, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self._read(self._at, self._rows, cycle_of(self._cycle))
+
+    def __getitem__(self, index):
+        cycle = self._cycle
+        if isinstance(index, slice):
+            positions = range(self._n)[index]
+            arms = map(cycle.__getitem__, map(mod, positions, repeat(len(cycle))))
+            return list(self._read(self._at[index], self._rows[index], arms))
+        j = range(self._n)[index]  # raises IndexError past either end
+        return self._at[j][4][self._player][self._rows[j][cycle[j % len(cycle)]]]
+
+    def _read(self, at: list[tuple], rows: list[bytes], arms: Iterable[int]) -> Iterator[tuple]:
+        singles = map(itemgetter(self._player), map(itemgetter(4), at))
+        return map(getitem, singles, map(getitem, rows, arms))
 
 
 @dataclass
@@ -360,21 +401,23 @@ def run(
                         cycles.append(cycle)
                     if period >= n:
                         # No position repeats, so each slot is one: take at
-                        # most _SPAN of them, as the outcomes hold one per slot.
+                        # most _SPAN of them, as each keeps its row of draws.
                         n = min(n, _SPAN)
                     width = min(n, period)  # positions the block reaches
-                    at = []  # the plan of each position
-                    for j, arms in enumerate(islice(zip(*map(cycle_of, cycles)), width)):
-                        plan = plans.get(arms) or plan_for(arms)
-                        counts = plan[3]
-                        if conditions and any(
-                            (counts[arms[i]] > 1) is not shared for i, shared in conditions
-                        ):
-                            # The block ends before the first position that
-                            # breaks a condition; at position 0, step.
-                            n = width = j
-                            break
-                        at.append(plan)
+                    keys = list(islice(zip(*map(cycle_of, cycles)), width))
+                    at = list(map(plans.get, keys))  # the plan of each position
+                    if conditions or None in at:
+                        for j, arms in enumerate(keys):
+                            plan = at[j] = at[j] or plans.get(arms) or plan_for(arms)
+                            counts = plan[3]
+                            if conditions and any(
+                                (counts[arms[i]] > 1) is not shared for i, shared in conditions
+                            ):
+                                # The block ends before the first position that
+                                # breaks a condition; at position 0, step.
+                                n = width = j
+                                del at[j:]
+                                break
             if not n:
                 if offset == len(draws):
                     offset = 0
@@ -404,7 +447,8 @@ def run(
                     take = min(last + 1 - s, (len(draws) - offset) // K)
                     stop = offset + take * K
                     if per_slot:
-                        rows += [draws[o : o + K] for o in range(offset, stop, K)]
+                        ends = range(offset + K, stop + K, K)
+                        rows += map(draws.__getitem__, map(slice, range(offset, stop, K), ends))
                     else:
                         for j, counted in enumerate(hits):
                             start = offset + (j - (s - t)) % period * K
@@ -413,13 +457,10 @@ def run(
                     offset = stop
                     s += take
                 if per_slot:
-                    # Each player's outcomes are built at C level: per slot,
+                    # Each player's outcomes are built when read: per slot,
                     # its single outcomes there indexed by its arm's draw.
-                    for policy, singles, cycle in zip(
-                        policies, zip(*map(itemgetter(4), at)), cycles
-                    ):
-                        drawn = map(getitem, rows, cycle_of(cycle))
-                        policy.observe_block(list(map(getitem, singles, drawn)))
+                    for i, (policy, cycle) in enumerate(zip(policies, cycles)):
+                        policy.observe_block(_PerSlot(at, rows, cycle, i, n))
                 else:
                     for i, (policy, cycle) in enumerate(zip(policies, cycles)):
                         size = len(cycle)
@@ -428,16 +469,20 @@ def run(
                             for j in range(width)
                         ])
                 # Every slot of the block but its last, which the tail below
-                # takes. Regret is added slot by slot: n * gap rounds otherwise.
-                for j, (_, _, optimal, _, _) in enumerate(at):
-                    if optimal:
-                        optimal_mask[t + j : last : period] = True
-                for s, (_, gap, _, counts, _) in zip(range(t, last), cycle_of(at)):
-                    regret += gap
-                    if s + 1 in cp_set:
-                        cp_regret.append(regret)
-                    if probe is not None:
-                        probe(s, policies, counts)
+                # takes. Regret is a left fold of the gaps between checkpoints,
+                # so it makes the same float additions in the same order.
+                for j in compress(range(width), map(itemgetter(2), at)):
+                    optimal_mask[t + j : last : period] = True
+                gaps = cycle_of(map(itemgetter(1), at))
+                s = t
+                for c in cps[bisect_right(cps, t) : bisect_right(cps, last)]:
+                    regret = reduce(add, islice(gaps, c - s), regret)
+                    cp_regret.append(regret)
+                    s = c
+                regret = reduce(add, islice(gaps, last - s), regret)
+                if probe is not None:
+                    for s, plan in zip(range(t, last), cycle_of(at)):
+                        probe(s, policies, plan[3])
                 _, gap, optimal, counts, _ = at[(n - 1) % period]
                 t = last
 

@@ -55,6 +55,8 @@ shared flag is implied by the count.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .engine import Observation, PublicEnvInfo
 from .protocol import (
     LeaderDecision,
@@ -519,7 +521,7 @@ class SicSdaPolicy:
             return None
         return n, tuple(self._plan[self._slot :])
 
-    def observe_block(self, outcomes: list[tuple[Observation, int, int]]) -> None:
+    def observe_block(self, outcomes: Sequence[tuple[Observation, int, int]]) -> None:
         """Fold a block's outcomes, one (hit obs, hits, slots) per position."""
         mode = self._mode
         if mode == _EXPLOIT:

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -434,9 +435,12 @@ NAIVE_CASES = [
 
 
 def assert_run_equals_naive_loop(factory, spec):
-    """``run`` and ``oracles.naive_run`` give the same trace, field for field."""
+    """``run`` and ``oracles.naive_run`` give the same trace, field for field.
+
+    Checkpoints fall every 7 slots, so many lie inside blocks.
+    """
     opt = optimal_profile_for(spec)
-    checkpoints = [1, min(100, spec.horizon), spec.horizon // 2, spec.horizon]
+    checkpoints = [1, *range(7, spec.horizon, 7), spec.horizon]
     trace = run(factory, spec, checkpoints=checkpoints)
 
     def make_env(rng):
@@ -667,11 +671,13 @@ class TestMixedBlocks:
     """Block players with committing players: blocks start once all have committed."""
 
     # Players 0 and 2 play arm 3 and commit to arm 0 in slots 9 and 5;
-    # player 1 plays arm 1 in blocks of four slots.
+    # player 1 cycles through CYCLE in blocks of four slots.
+    CYCLE = (1,)
+
     def factory(self, calls):
         def make(i, env):
             if i == 1:
-                return BlockPolicy(i, (1,), 4, calls)
+                return BlockPolicy(i, self.CYCLE, 4, calls)
             return CommittingPolicy(i, env, 3, 9 if i == 0 else 5, 0, calls)
 
         return make
@@ -680,11 +686,16 @@ class TestMixedBlocks:
         calls, probed, grabbed = [], [], []
 
         def probe(t, policies, counts):
-            probed.append(t)
+            probed.append((t, dict(counts)))
             grabbed[:] = policies
 
         run(self.factory(calls), make_spec(horizon=50), probe=probe)
-        assert probed == list(range(50))
+        # The probe sees every slot once, in order, with that slot's counts.
+        cycle = self.CYCLE
+        profiles = [
+            (3 if t <= 9 else 0, cycle[t % len(cycle)], 3 if t <= 5 else 0) for t in range(50)
+        ]
+        assert probed == [(t, dict(Counter(arms))) for t, arms in enumerate(profiles)]
         for i in (0, 2):
             assert max(t for p, _, t in calls if p == i) == 9
         # Stepped until every committing player has committed, then blocks
@@ -695,6 +706,13 @@ class TestMixedBlocks:
 
     def test_trace_equals_naive_loop(self):
         assert_run_equals_naive_loop(self.factory([]), make_spec(horizon=50))
+
+
+class TestMixedPerSlotBlocks(TestMixedBlocks):
+    """The same, with player 1 cycling through arms 1, 2, 1, 3: the period
+    is as long as a block, so every slot of a block is its own position."""
+
+    CYCLE = (1, 2, 1, 3)
 
 
 class TestCycleBlocks:
@@ -749,6 +767,63 @@ class TestCycleBlocks:
                     assert obs.reward == min(count, spec.capacities[arm])
                     assert slots == len(range(j, n, 6))
                     assert hits == sum(drawn[start + j : start + n : 6, arm])
+
+
+class TestPerSlotBlocks:
+    """Three block players cycle through arms with coprime cycle lengths 2,
+    3 and 5, in blocks of slots 8k to 8k + 7. The period, 30, is longer than
+    every block, so every slot of a block is its own position."""
+
+    CYCLES = ((2, 3), (0, 1, 2), (1, 3, 0, 2, 0))
+
+    @pytest.mark.parametrize(
+        "chunk, span", [(engine._CHUNK, engine._SPAN), (7, 5)], ids=["whole", "span-5-chunk-7"]
+    )
+    def test_outcomes_read_the_same_every_way(self, monkeypatch, chunk, span):
+        """Length, iteration, every index and slices give one (obs, hits, 1)
+        per slot: the hit observation of the player's planned arm and count,
+        and that slot's draw of the arm."""
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        monkeypatch.setattr(engine, "_SPAN", span)
+        made = []
+
+        def factory(i, env):
+            made.append(BlockPolicy(i, self.CYCLES[i], 8, []))
+            return made[-1]
+
+        spec = make_spec(horizon=50)
+        run(factory, spec)
+        # X_k of every slot, from the run's environment stream.
+        env_seed = np.random.SeedSequence(spec.seed).spawn(spec.num_players + 1)[0]
+        rng = np.random.Generator(np.random.PCG64(env_seed))
+        drawn = rng.random((spec.horizon, spec.num_arms)) < np.asarray(spec.means)
+        # With a span of 5, every 8-slot block is cut after its fifth slot.
+        cuts = [(s, min(span, 8)) for s in range(0, 48, 8)]
+        cuts += [(s + span, 8 - span) for s in range(0, 48, 8) if span < 8]
+        starts = sorted(cuts) + [(48, 2)]
+        for i, player in enumerate(made):
+            assert player.blocks == starts
+            for (start, n), outcomes in zip(player.blocks, player.outcomes):
+                want = []
+                for s in range(start, start + n):
+                    arms = [c[s % len(c)] for c in self.CYCLES]
+                    arm, count = arms[i], arms.count(arms[i])
+                    hit = Observation(arm, float(min(count, spec.capacities[arm])), count, count > 1)
+                    want.append((hit, int(drawn[s, arm]), 1))
+                assert len(outcomes) == n
+                assert list(outcomes) == want
+                assert [outcomes[j] for j in range(-n, n)] == want + want
+                for cut in (
+                    slice(None), slice(1, None), slice(None, -1), slice(None, None, 2),
+                    slice(1, n - 1, 3), slice(None, None, -1), slice(-2, None), slice(n, None),
+                ):
+                    assert outcomes[cut] == want[cut]
+                with pytest.raises(IndexError):
+                    outcomes[n]
+                # Read any way, an entry is the same interned objects.
+                for j, entry in enumerate(outcomes):
+                    assert outcomes[j] is entry
+                    assert outcomes[j : j + 1][0] is entry
 
 
 class CountedIdlestArm(IdlestArmPolicy):

@@ -24,6 +24,13 @@ arms instead of idling on the park arm.
 
 Every stretch but orthogonalization (rally, warm-up, bootstrap park,
 broadcast, round) is planned when it starts, and no plan is rewritten after.
+
+The leader's update after a round re-derives only the arms that round
+played (after the warm-up sweep, every arm): their means, their capacity
+bracket checks, and their places in the arm order on which the last oracle
+answer rests. Only those arms gained samples. Every other arm's mean,
+bracket inputs and bounds are as the last update left them, so its check
+would change nothing and its neighbours in the order are still in order.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from .stats import (
     PlayerStats,
     closed_bracket_holds,
     confidence_radius,
-    klucb_at_least,
+    klucb_arms_at_least,
     klucb_budget,
     update_capacity_bounds,
 )
@@ -175,10 +182,12 @@ class DpeSdiPolicy:
         # Per arm, for closed brackets: [ue_count, capacity, nu_hat, united
         # radius, least and greatest mu_hat at which the bracket was kept].
         self._united: list[list | None] = []
+        self._mu: list[float] = []  # per arm, stats.mu_hat as of the last update
         self._order: list[int] = []  # arms by (-mu, k) at the last oracle call
         self._oracle_caps: list[int] | None = None
         self._opt: tuple[tuple[int, ...], int] | None = None  # counts, least
         self._opt_set: set[int] = set()  # arms with a positive count in _opt
+        self._outside: list[int] = []  # the other arms, which the leader may probe
         self._explore_set: list[int] = []
         self._park_arm = 0
 
@@ -259,7 +268,8 @@ class DpeSdiPolicy:
 
     def _park_on_best(self, arms) -> None:
         """Leader: park on the best empirical mean in ``arms``, lower index on ties."""
-        self._park_arm = max(arms, key=lambda k: (self.stats.mu_hat(k), -k))
+        mu = self._mu
+        self._park_arm = max(arms, key=lambda k: (mu[k], -k))
 
     def _begin_broadcast(self, t0: int) -> None:
         """Start a broadcast at slot ``t0``: followers listen on arm 0, and
@@ -313,15 +323,32 @@ class DpeSdiPolicy:
         self._view_changed = True
 
     def _leader_update(self) -> None:
-        """Refresh bounds, the optimal assignment, the probe set and ``_pending``."""
-        stats, bounds = self.stats, self.bounds
+        """Refresh bounds, the optimal assignment, the probe set and ``_pending``.
+
+        Only the arms the stretch just played can have new samples: every arm
+        after the warm-up sweep, and the arms of its plan after a round (a
+        parked round, which samples nothing, is followed by a broadcast, not
+        by an update). So only those arms are re-derived: their means, their
+        bracket checks, and the order test on the adjacent pairs of
+        ``_order`` they sit in. Skipping the others is exact. An arm's mean
+        and bracket inputs move only with its samples, and its bounds only
+        with its own bracket update, which its last check already made or
+        proved inert. Every other pair of ``_order`` was in order at the last
+        test, and neither of its means has moved since. The probe set is
+        tested afresh on every arm outside the assignment: its threshold, the
+        least-favored arm's mean, and its budget move with almost every round.
+        """
+        stats, bounds, mu = self.stats, self.bounds, self._mu
         assert stats is not None and bounds is not None
-        # The same floats as stats.mu_hat: warm-up sampled every arm.
-        mu = [total / n for total, n in zip(stats.ie_sum, stats.ie_count)]
+        ie_sum, ie_count, ue_count = stats.ie_sum, stats.ie_count, stats.ue_count
+        played = sorted(set(self._plan))
         # A bracket update is a function of the arm's sums and counts, and the
         # sums move only with the counts; repeating one changes nothing.
         seen, united = self._bracket_inputs, self._united
-        for k, n_ue in enumerate(stats.ue_count):
+        for k in played:
+            # The same float as stats.mu_hat: warm-up sampled every arm.
+            m = mu[k] = ie_sum[k] / ie_count[k]
+            n_ue = ue_count[k]
             if n_ue == 0:
                 continue
             capacity = bounds.lower[k]
@@ -334,37 +361,31 @@ class DpeSdiPolicy:
                 if kept is None or kept[0] != n_ue or kept[1] != capacity:
                     radius = confidence_radius(n_ue, self.delta)
                     kept = united[k] = [n_ue, capacity, stats.nu_hat(k), radius, inf, -inf]
-                m = mu[k]
                 if kept[4] <= m <= kept[5]:
                     continue
                 if closed_bracket_holds(m, kept[2], kept[3], capacity):
                     kept[4] = min(kept[4], m)
                     kept[5] = max(kept[5], m)
                     continue
-            inputs = (stats.ie_count[k], n_ue)
+            inputs = (ie_count[k], n_ue)
             if seen[k] != inputs:
                 seen[k] = inputs
                 update_capacity_bounds(stats, k, bounds, self.delta)
         # The oracle's profile and least-favored arm depend only on the arm
         # order by (-mu, k) and on the capacities: reuse them while both hold.
-        order = self._order
-        if bounds.lower != self._oracle_caps or any(
-            mu[j] > mu[k] or (mu[j] == mu[k] and j < k)
-            for k, j in zip(order, order[1:])
-        ):
+        if bounds.lower != self._oracle_caps or self._out_of_order(played):
             opt = oracle(mu, bounds.lower, self.num_players)
             self._order = sorted(range(self.num_arms), key=lambda k: (-mu[k], k))
             self._oracle_caps = list(bounds.lower)
-            self._opt = opt.profile.counts, opt.least_favored
-            self._opt_set = {k for k, c in enumerate(opt.profile.counts) if c > 0}
-        counts, least = self._opt
+            counts = opt.profile.counts
+            self._opt = counts, opt.least_favored
+            self._opt_set = {k for k, c in enumerate(counts) if c > 0}
+            self._outside = [k for k, c in enumerate(counts) if c == 0]
         budget = klucb_budget(self._start + self._len)  # the next stretch's first slot
-        self._explore_set = [
-            k
-            for k in range(self.num_arms)
-            if counts[k] == 0
-            and klucb_at_least(mu[k], stats.ie_count[k], budget, mu[least])
-        ]
+        least = self._opt[1]
+        self._explore_set = klucb_arms_at_least(
+            mu, ie_count, self._outside, budget, mu[least]
+        )
         view = self.view
         self._pending = (
             view.optimal_set != self._opt_set
@@ -375,6 +396,22 @@ class DpeSdiPolicy:
         if self._pending and self.num_players == 1:
             # Nobody to inform: a broadcast that takes no slot.
             self._apply(self._leader_message())
+
+    def _out_of_order(self, arms) -> bool:
+        """Leader: whether an arm of ``arms`` left its place in ``_order`` by (-mu, k)."""
+        mu, order = self._mu, self._order
+        last = len(order) - 1
+        for k in arms:
+            i, m = order.index(k), mu[k]
+            if i:
+                j = order[i - 1]  # must stay ahead of k
+                if mu[j] < m or (mu[j] == m and j > k):
+                    return True
+            if i < last:
+                j = order[i + 1]  # must stay behind k
+                if mu[j] > m or (mu[j] == m and j < k):
+                    return True
+        return False
 
     # -- engine interface --------------------------------------------------
 
@@ -431,7 +468,14 @@ class DpeSdiPolicy:
 
     def _end_stretch(self) -> None:
         """Begin the stretch that follows the one just played."""
-        mode, t0 = self._mode, self._start + self._len
+        t0 = self._start + self._len
+        if self._limits is not None and not self._pending:
+            # A follower's round that saw no park is followed by a round of
+            # the same view: the table's plan, of the same length.
+            self._plan, self._limits = self._plans[(self.rank + t0) % self.num_players]
+            self._start, self._slot = t0, 0
+            return
+        mode = self._mode
         if mode == _RALLY:
             self._mode = _ORTHO
             self._ortho = Orthogonalization(self.num_players, self.rng)
@@ -474,3 +518,4 @@ class DpeSdiPolicy:
             self.bounds = CapacityBounds(self.num_arms, self.num_players)
             self._bracket_inputs = [None] * self.num_arms
             self._united = [None] * self.num_arms
+            self._mu = [0.0] * self.num_arms

@@ -76,6 +76,38 @@ def klucb_at_least(mu_hat: float, pulls: int, budget: float, threshold: float) -
     return pulls * bern_kl(mu_hat, q) <= budget
 
 
+def klucb_arms_at_least(
+    mu_hat: list[float],
+    pulls: list[int],
+    arms: list[int],
+    budget: float,
+    threshold: float,
+) -> list[int]:
+    """The arms k of ``arms``, in order, that pass klucb_at_least at ``budget``.
+
+    Each arm is tested as klucb_at_least(mu_hat[k], pulls[k], budget,
+    threshold) tests it, with the same floats: the clamp and ``bern_kl``'s
+    expression are written out so that an arm costs no call.
+    """
+    q = min(threshold, 1.0 - _Q_EPS)
+    log = math.log
+    passed = []
+    for k in arms:
+        p = mu_hat[k]
+        if p >= threshold:
+            passed.append(k)
+            continue
+        if p <= 0.0:
+            kl = -math.log1p(-q)
+        elif p >= 1.0:
+            kl = -log(q)
+        else:
+            kl = p * log(p / q) + (1.0 - p) * log((1.0 - p) / (1.0 - q))
+        if pulls[k] * kl <= budget:
+            passed.append(k)
+    return passed
+
+
 def confidence_radius(x: int, delta: float) -> float:
     """Anytime confidence radius of an empirical mean after x samples.
 

@@ -55,6 +55,8 @@ SEED_47_SPEC = EnvSpec(7, 2, (0.62, 0.53, 0.36, 0.0, 0.39, 0.43, 0.41),
 # A run whose leader parks in a single-arm view: it leaves the arm to signal.
 SEED_63_SPEC = EnvSpec(8, 2, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0),
                        (2, 1, 2, 2, 2, 2, 2, 1), 1205, feedback="sdi", seed=63)
+# The paper's synthetic environment (K = 9, M = 6) as seed 0 permutes it.
+SYNTHETIC_SPEC = load_scenario("synthetic-0.025").env_spec("dpe-sdi", 0)
 # One player: the leader applies its own bits and never broadcasts.
 ONE_PLAYER_SPEC = make_spec(
     num_players=1, capacities=(1, 1, 1, 1, 1), horizon=3000,
@@ -372,6 +374,7 @@ class TestSingleArmView:
         leader.stats = PlayerStats(4)
         for k in range(4):
             leader.stats.add_individual(k, 0.5)
+        leader._mu = [0.5] * 4  # the means as the leader's update caches them
         leader.bounds = CapacityBounds(4, 3)
         leader._explore_set = list(probes)
         for p in players:
@@ -599,19 +602,49 @@ class TestEndToEnd:
             dict(num_players=4),
             dict(means=(0.6, 0.6, 0.6, 0.3, 0.3), capacities=(1, 2, 1, 1, 1)),
             dict(num_arms=4, means=(0.8, 0.5, 0.4, 0.2), capacities=(3, 1, 2, 1)),
+            # Brackets close early here, so the closed-bracket skip runs.
+            dict(
+                num_arms=9, num_players=6, means=SYNTHETIC_SPEC.means,
+                capacities=SYNTHETIC_SPEC.capacities, horizon=5000, seed=0,
+            ),
         ],
-        ids=["one-player", "players-one-below-arms", "tied-means", "capacity-equals-players"],
+        ids=[
+            "one-player", "players-one-below-arms", "tied-means",
+            "capacity-equals-players", "synthetic-0.025",
+        ],
     )
     def test_cached_state_matches_recomputation(self, changes):
-        """Whatever the caches skip recomputing would come out the same."""
-        spec = make_spec(horizon=3000, **changes)
-        num_players = spec.num_players
-        checked = {"leader": 0, "plans": 0, "probe sets": 0}
+        """Whatever the caches skip recomputing would come out the same.
+
+        At every leader round start the cached means, arm order, assignment,
+        bounds and probe set equal a fresh computation. A round right after a
+        broadcast reuses the probe set drawn up before the park, at the budget
+        of that update's slot.
+        """
+        spec = make_spec(**{"horizon": 3000, **changes})
+        num_players, num_arms = spec.num_players, spec.num_arms
+        checked = Counter()
         last_mode = {}
+
+        class Counted(DpeSdiPolicy):
+            def _leader_update(self):
+                stats, bounds, order = self.stats, self.bounds, self._order
+                closed = [
+                    k for k in set(self._plan)
+                    if stats.ue_count[k] and bounds.lower[k] == bounds.upper[k]
+                ]
+                self.budget_slot = self._start + self._len
+                super()._leader_update()
+                checked["oracle reuses"] += self._order is order
+                # A closed bracket whose new samples reached no update.
+                checked["bracket skips"] += sum(
+                    self._bracket_inputs[k] != (stats.ie_count[k], stats.ue_count[k])
+                    for k in closed
+                )
 
         def probe(t, policies, counts):
             for p in policies:
-                after_round = last_mode.get(p.rank) == "explore-round"
+                after_broadcast = last_mode.get(p.rank) == "comm-broadcast"
                 last_mode[p.rank] = p._mode
                 if p._mode != "explore-round" or p._slot != 0:
                     continue
@@ -643,28 +676,34 @@ class TestEndToEnd:
                 if p.rank != 0:
                     continue
                 stats, bounds = p.stats, p.bounds
-                mu = [stats.mu_hat(k) for k in range(spec.num_arms)]
+                mu = [stats.mu_hat(k) for k in range(num_arms)]
+                assert p._mu == mu
+                order = sorted(range(num_arms), key=lambda k: (-mu[k], k))
+                assert p._order == order
                 opt = oracle(mu, bounds.lower, num_players)
                 assert p._opt == (opt.profile.counts, opt.least_favored)
                 fresh = copy.deepcopy(bounds)
-                for k in range(spec.num_arms):
+                for k in range(num_arms):
                     if stats.ue_count[k] > 0:
                         update_capacity_bounds(stats, k, fresh, p.delta)
                 assert (fresh.lower, fresh.upper) == (bounds.lower, bounds.upper)
                 checked["leader"] += 1
-                if after_round:
-                    # The probe set was drawn up at the end of the last round.
-                    budget = klucb_budget(p._start)
-                    least = opt.least_favored
-                    assert p._explore_set == [
-                        k for k in range(spec.num_arms)
-                        if opt.profile.counts[k] == 0
-                        and klucb_at_least(mu[k], stats.ie_count[k], budget, mu[least])
-                    ]
-                    checked["probe sets"] += 1
+                # The probe set was drawn up at the leader's last update.
+                budget = klucb_budget(p.budget_slot)
+                least = opt.least_favored
+                assert p._explore_set == [
+                    k for k in range(num_arms)
+                    if opt.profile.counts[k] == 0
+                    and klucb_at_least(mu[k], stats.ie_count[k], budget, mu[least])
+                ]
+                checked["probe sets"] += 1
+                checked["probe sets after a broadcast"] += after_broadcast
 
-        run(DpeSdiPolicy, spec, probe=probe)
-        assert min(checked.values()) > 10
+        run(Counted, spec, probe=probe)
+        assert min(checked[key] for key in ("leader", "plans", "probe sets")) > 10
+        assert (checked["probe sets after a broadcast"] > 0) == (num_players > 1)
+        if num_arms == 9:
+            assert min(checked["oracle reuses"], checked["bracket skips"]) > 10
 
     def test_converges_on_easy_instance(self):
         spec = make_spec(horizon=4000)

@@ -5,7 +5,9 @@ capacities all 1 or all M, one player, and one arm more than players. Each
 run must raise nothing and pay no slot above the optimum, and DPE players'
 views must agree whenever every player starts a round. On the same
 environments sic-sda and sic-sdi, which take most slots in engine blocks,
-must give the trace of ``oracles.naive_run``, which steps every slot.
+must give the trace of ``oracles.naive_run``, which steps every slot, and
+dpe-sdi, whose leader re-derives only the arms a round played, must give the
+trace of a leader that re-derives every arm.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from shareable_bandits.engine import PublicEnvInfo, run
 from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for
 from shareable_bandits.scenarios import ALGORITHMS
 from shareable_bandits.sic import SicSdaPolicy
+from shareable_bandits.stats import klucb_at_least, klucb_budget
 
 POLICIES = {
     "dpe-sdi": (DpeSdiPolicy, Feedback.SDI),
@@ -112,3 +115,37 @@ def test_sic_blocks_equal_naive_loop(algorithm, env):
             assert np.array_equal(trace.optimal_mask, value)
         else:
             assert getattr(trace, field) == value, field
+
+
+class RederivingDpe(DpeSdiPolicy):
+    """dpe-sdi whose leader update re-derives every arm, and its probe set by
+    one ``klucb_at_least`` call per arm."""
+
+    def _leader_update(self):
+        played, self._plan = self._plan, list(range(self.num_arms))
+        super()._leader_update()
+        self._plan = played
+        stats, (counts, least) = self.stats, self._opt
+        mu = [stats.mu_hat(k) for k in range(self.num_arms)]
+        budget = klucb_budget(self._start + self._len)
+        self._explore_set = [
+            k for k in range(self.num_arms)
+            if counts[k] == 0 and klucb_at_least(mu[k], stats.ie_count[k], budget, mu[least])
+        ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(env=environments())
+# A single-arm view; one player; means in {0, 1} with capacities all M.
+@example(env=(8, 2, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0), (2, 1, 2, 2, 2, 2, 2, 1), 1205, 63))
+@example(env=(2, 1, (0.5, 0.5), (1, 1), 600, 1))
+@example(env=(4, 3, (1.0, 0.0, 1.0, 0.0), (3, 3, 3, 3), 800, 2))
+def test_dpe_update_equals_full_rederivation(env):
+    num_arms, num_players, means, caps, horizon, seed = env
+    spec = EnvSpec(num_arms, num_players, means, caps, horizon, feedback=Feedback.SDI, seed=seed)
+    checkpoints = sorted({1, horizon // 2, horizon})
+    trace, want = (run(p, spec, checkpoints=checkpoints) for p in (DpeSdiPolicy, RederivingDpe))
+    assert trace.checkpoint_regret == want.checkpoint_regret
+    assert trace.final_regret == want.final_regret
+    assert np.array_equal(trace.optimal_mask, want.optimal_mask)
+    assert trace.phase_events == want.phase_events

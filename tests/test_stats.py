@@ -13,6 +13,7 @@ from shareable_bandits.stats import (
     capacity_interval,
     closed_bracket_holds,
     confidence_radius,
+    klucb_arms_at_least,
     klucb_at_least,
     klucb_budget,
     klucb_index,
@@ -76,6 +77,31 @@ class TestKlucbIndex:
             fast = klucb_at_least(mu, pulls, klucb_budget(t), threshold)
             if abs(klucb_index(mu, pulls, t) - threshold) > 1e-6:
                 assert fast == expect
+
+    def test_arms_at_least_matches_per_arm_calls(self):
+        """The batched test passes exactly the arms, in order, that per-arm calls do."""
+        rng = np.random.default_rng(13)
+        answers = Counter()
+        for _ in range(300):
+            num_arms = int(rng.integers(1, 12))
+            levels = [float(x) for x in rng.uniform(0.0, 1.0, 3)]
+            # Means in {0, 1} and tied with the threshold; thresholds past the clamp.
+            mu = [float(rng.choice([*levels, 0.0, 1.0])) for _ in range(num_arms)]
+            pulls = [int(rng.choice([1, 40, 3_000, 90_000])) for _ in range(num_arms)]
+            threshold = float(rng.choice([*levels, 0.0, 1.0, 1.0 - 1e-13, 1.5]))
+            budget = klucb_budget(int(rng.integers(3, 10**6)))
+            arms = [int(k) for k in rng.permutation(num_arms)][: int(rng.integers(0, num_arms + 1))]
+            below = [k for k in arms if mu[k] < threshold]
+            if below and rng.random() < 0.5:
+                # A divergence exactly on the budget passes.
+                k = below[0]
+                budget = pulls[k] * bern_kl(mu[k], min(threshold, 1.0 - 1e-12))
+            passed = klucb_arms_at_least(mu, pulls, arms, budget, threshold)
+            assert passed == [
+                k for k in arms if klucb_at_least(mu[k], pulls[k], budget, threshold)
+            ]
+            answers.update(k in passed for k in arms)
+        assert min(answers[True], answers[False]) > 100
 
 
 class TestConfidenceRadius:

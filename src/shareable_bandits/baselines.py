@@ -80,16 +80,17 @@ class IdlestArmPolicy:
     rate, ties to the lower index. After warm-up the played arm is the top,
     and one ``heapreplace`` keeps the heap instead of a scan of every rate.
 
-    After warm-up it states engine blocks that hold while each slot's shared
-    flag is as stated:
+    After warm-up it states engine blocks that hold while each slot's count
+    stays in a range, so that its shared flag is as it needs:
 
-    - After an unshared pull, ``(T - t, (b,), False)`` for its top b: an
+    - After an unshared pull, ``(T - t, (b,), ((1, 1),))`` for its top b: an
       unshared pull of b only lowers b's rate, so b stays the top.
     - After a shared pull, when every arm has the same pulls N and shared
-      pulls S < N, ``(T - t, (0, 1, ..., K - 1), True)``: a shared pull
-      raises an arm's rate above S / N, so the top moves to the next arm in
-      index order, and after K slots every arm is level again. This is the
-      round-robin of a herd, all players on one arm at a time.
+      pulls S < N, ``(T - t, (0, 1, ..., K - 1), ((2, K),) * K)``: a shared
+      pull raises an arm's rate above S / N, so the top moves to the next
+      arm in index order, and after K slots every arm is level again. This
+      is the round-robin of a herd, all players on one arm at a time. K
+      bounds every count, as the model requires M < K.
 
     Otherwise it states nothing and is stepped.
     """
@@ -111,16 +112,17 @@ class IdlestArmPolicy:
             return _warmup_arm(self.player_id, t, self.num_arms)
         return self._best
 
-    def schedule(self, t: int) -> tuple[int, tuple[int, ...], bool] | None:
-        """None in warm-up; then a block conditioned on the shared flag, or None."""
-        if t < self.num_arms:
+    def schedule(self, t: int) -> tuple[int, tuple[int, ...], tuple] | None:
+        """None in warm-up; then a block conditioned on the counts, or None."""
+        num_arms = self.num_arms
+        if t < num_arms:
             return None
         if not self._last_shared:
-            return self.horizon - t, (self._best,), False
+            return self.horizon - t, (self._best,), ((1, 1),)
         pulls, shared = self._pulls[0], self._shared[0]
-        level = self._pulls.count(pulls) == self._shared.count(shared) == self.num_arms
+        level = self._pulls.count(pulls) == self._shared.count(shared) == num_arms
         if level and shared < pulls:
-            return self.horizon - t, tuple(range(self.num_arms)), True
+            return self.horizon - t, tuple(range(num_arms)), ((2, num_arms),) * num_arms
         return None
 
     def observe(self, obs: Observation) -> None:

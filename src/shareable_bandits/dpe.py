@@ -25,6 +25,14 @@ arms instead of idling on the park arm.
 Every stretch but orthogonalization (rally, warm-up, bootstrap park,
 broadcast, round) is planned when it starts, and no plan is rewritten after.
 
+Followers ride their rounds as engine blocks; the leader is stepped. In a
+round of an unchanged view, a follower's rounds to come are the plan
+table's, so it states them as one cycle (``schedule``), with the count
+range its round test allows at each slot, and rides until the leader
+parks, the engine cuts the ride, or the horizon. A ride's outcomes only
+advance its slot counter (``observe_block``). The leader's probe coins and
+news change every round, so it answers None and steps every slot.
+
 The leader's update after a round re-derives only the arms that round
 played (after the warm-up sweep, every arm): their means, their capacity
 bracket checks, and their places in the arm order on which the last oracle
@@ -35,8 +43,9 @@ would change nothing and its neighbours in the order are still in order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import inf
+from math import gcd, inf
 
 from .engine import Observation, PublicEnvInfo
 from .model import Feedback, oracle
@@ -115,8 +124,9 @@ _ROUND = "explore-round"
 class DpeSdiPolicy:
     """Per-player state machine; requires count (SDI) feedback.
 
-    Only ``next_action``/``observe`` touch the engine. Everything else is
-    derived from the player's own observations, so instances share nothing.
+    Only ``next_action``, ``observe``, ``schedule`` and ``observe_block``
+    touch the engine. Everything else is derived from the player's own
+    observations, so instances share nothing.
 
     Every stretch but orthogonalization (the rally, the warm-up sweep, the
     bootstrap park, each broadcast and each round) is planned whole when it
@@ -414,6 +424,41 @@ class DpeSdiPolicy:
         return False
 
     # -- engine interface --------------------------------------------------
+
+    def schedule(self, t: int) -> tuple[int, tuple[int, ...], tuple] | None:
+        """A follower's rounds to come as one ride while its view holds, or None.
+
+        In a round of an unchanged view (no park seen), the rounds that
+        follow play the table's plans, and rounds of length L come back to
+        the same plan every L·M/gcd(L, M) slots. Each slot's count range is
+        ``observe``'s own test: (1, its limit), or in a single-arm view
+        (M, M) at round slot 0 and (1, M) elsewhere. The leader and every
+        other stretch answer None.
+        """
+        if self._mode != _ROUND or self._leader or self._pending:
+            return None
+        num_players, length, start = self.num_players, self._len, self._start
+        arms, ranges = [], []
+        for r in range(num_players // gcd(length, num_players)):
+            plan, limits = self._plans[(self.rank + start + r * length) % num_players]
+            arms += plan
+            if limits is None:
+                ranges += [(num_players, num_players)] + [(1, num_players)] * (length - 1)
+            else:
+                ranges += [(1, limit) for limit in limits]
+        s = self._slot
+        return self.horizon - t, tuple(arms[s:] + arms[:s]), tuple(ranges[s:] + ranges[:s])
+
+    def observe_block(self, outcomes: Sequence[tuple[Observation, int, int]]) -> None:
+        """A follower's ride: advance by its slots, one outcome each.
+
+        The leader never states a block, so no block of everyone is taken
+        and each of a follower's outcomes is one slot of a ride.
+        """
+        rounds, self._slot = divmod(self._slot + len(outcomes), self._len)
+        if rounds:
+            self._start += rounds * self._len
+            self._plan, self._limits = self._plans[(self.rank + self._start) % self.num_players]
 
     def next_action(self, t: int) -> int:
         if self._mode == _ORTHO:

@@ -15,27 +15,37 @@ Three things keep ``run`` cheap without changing a single output value:
   per-run dict; a slot is then one lookup plus the draws.
 - **Blocks.** A policy may state that for the next n slots it cycles
   through a fixed tuple of arms whatever it observes (``schedule``), or
-  whatever it observes provided its arm's shared flag is a stated value in
-  every slot, and then take those n slots' outcome in one call
-  (``observe_block``): per position of the block's period, its interned
-  hit observation, the number of those slots its arm drew 1 and the number
-  of slots. A player committed for good states one arm to the horizon.
-  When every player states a cycle, the engine takes the shortest block at
-  once, with one plan per position of the period P, the lcm of the cycle
-  lengths. The plans fix every count before anything is drawn, so it
-  checks each stated flag against them and cuts the block before the
-  first position that breaks one, stepping the slot when that is position
-  0. It counts each position's hits on each occupied arm in the drawn
-  chunks, P rows apart, and draws the chunks at the slots stepping would.
-  When P is at least the block's length, as in SIC's communication stages,
-  no position repeats and every slot is its own position: the engine then
-  takes at most ``_SPAN`` slots and keeps each slot's row of draws. Each
-  player's outcomes are then a read-only sequence whose entries, its
-  interned one-slot outcomes indexed by its arm's draw, are built only when
-  read. Either way the engine folds the positions' gaps into the regret at
-  C level, in slot order, between the checkpoints inside the block, fills
-  the optimality mask, and keeps calling ``probe`` every slot. A player
-  that answers None is stepped, and so is everyone else in that slot.
+  whatever it observes provided its arm's count stays in a stated range at
+  each position of the cycle, and then take those slots' outcome in one
+  call (``observe_block``). Blocks are per player. A player that states one
+  rides it: the engine plays its stated arms and does not call its
+  ``next_action`` or ``observe``, and it steps only the players that
+  answered None. Slots with riders are planned per regime, a stretch with
+  one set of riders: a memo keyed by the riders' joint period position and
+  the stepped players' arms gives the slot's plan, the riders whose range
+  it breaks and the stepped players' entries, so a slot costs the same
+  however many ride. A ride ends at its stated end, after ``_SPAN`` slots,
+  or before the first slot whose planned count breaks its range, where the
+  player is stepped. The engine keeps each ridden slot's plan and row of
+  draws meanwhile, and hands the player its outcomes, one per slot, when
+  the ride ends. A player committed for good states one arm to the horizon.
+- **Blocks of everyone.** When every player states a cycle in the same
+  slot (riders are handed their slots so far and asked again), the engine
+  takes the shortest block at once, with one plan per position of the
+  period P, the lcm of the cycle lengths. The plans fix every count before
+  anything is drawn, so it checks each stated range against them and cuts
+  the block before the first position that breaks one, stepping the slot
+  when that is position 0. It counts each position's hits on each occupied
+  arm in the drawn chunks, P rows apart, and draws the chunks at the slots
+  stepping would. When P is at least the block's length, as in SIC's
+  communication stages, no position repeats and every slot is its own
+  position: the engine then takes at most ``_SPAN`` slots and keeps each
+  slot's row of draws. Each player's outcomes are then, as a ride's, a
+  read-only sequence whose entries, its interned one-slot outcomes indexed
+  by its arm's draw, are built only when read. Either way the engine folds
+  the positions' gaps into the regret at C level, in slot order, between
+  the checkpoints inside the block, fills the optimality mask, and keeps
+  calling ``probe`` every slot.
 - **Interned observations.** A player's observation depends only on its
   arm, its arm's count and the arm's draw. ``run`` builds the two
   observations for each (arm, count), one for a 0 draw and one for a 1,
@@ -76,8 +86,8 @@ _MAX_PLANS = 4096
 
 class InvalidActionError(RuntimeError):
     """A policy emitted an arm index outside [0, K), or a ``schedule`` answer
-    that is not ``(n, arms)`` or ``(n, arms, shared)``, or has n < 1 or an
-    empty cycle."""
+    that is not ``(n, arms)`` or ``(n, arms, ranges)`` with one ``(lo, hi)``
+    range per arm of the cycle, or has n < 1 or an empty cycle."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,35 +129,46 @@ class Policy(Protocol):
     - ``schedule(t) -> (n, arms)`` or None, with n >= 1 and ``arms`` a
       non-empty tuple: at slots s = t, ..., t + n - 1 it plays
       ``arms[(s - t) % len(arms)]``, whatever it observes in them. None
-      means "step me this slot". The answer ``(n, arms, shared)``, with
-      ``shared`` a bool, says the same provided that in every one of
-      those slots its arm's shared flag (count > 1) equals ``shared``.
-      The engine then takes the block only up to the first slot whose
-      planned count breaks that, and steps the slot if it is the first.
-      Any other answer is malformed. The query has no side effects:
-      asked twice, it answers the same and changes nothing.
-    - ``observe_block(outcomes)``: the outcome of a block of such slots at
-      once. The block has period P, the lcm of every player's cycle
-      length, and ``outcomes`` holds one ``(obs, hits, slots)`` per
-      position j < min(n, P) of it: ``obs`` is the observation of a 1 draw
-      on the player's arm at that position, ``arms[j % len(arms)]``, with
-      that arm's count there; ``slots`` is the number of the block's slots
-      at position j, and ``hits`` the number of those whose draw was 1.
-      ``outcomes`` is a read-only sequence: it has a length and supports
-      iteration, indexing and slicing. When P is at least the block's
-      length, each entry is one slot's and is built when it is read.
+      means "step me this slot". The answer ``(n, arms, ranges)``, with
+      ``ranges`` a tuple of one ``(lo, hi)`` pair per arm of the cycle,
+      says the same provided that in each of those slots its arm's count
+      lies in [lo, hi] of the slot's position in the cycle. The engine
+      then holds the statement only up to the first slot whose planned
+      count breaks its range, and steps the player in that slot. Any other
+      answer is malformed. The query has no side effects: asked twice, it
+      answers the same and changes nothing.
+    - ``observe_block(outcomes)``: the outcome of such slots at once, one
+      ``(obs, hits, slots)`` per position j of them: ``obs`` is the
+      observation of a 1 draw on the player's arm at j, ``arms[j %
+      len(arms)]``, with that arm's count there; ``slots`` is the number of
+      slots at position j, and ``hits`` the number of those whose draw was
+      1. ``outcomes`` is a read-only sequence: it has a length and
+      supports iteration, indexing and slicing.
 
-    When every player states blocks, the engine asks them for their
-    schedules in player order before each slot. At the first None it steps
-    the slot for everyone, and otherwise it takes the shortest stated
-    block, however short, up to the first slot that breaks a stated flag:
-    it calls each player's ``observe_block`` once for it, and no other
-    method in it. When P is at least that length, it keeps a row of K
-    draws per slot, so it takes at most ``_SPAN`` (1,024) of its slots and
-    then asks again: a policy counts the slots it is given rather than
-    assume its whole statement. ``phase`` is read after a block's last
-    slot, so a policy may change it only at a block end. A player committed
-    to one arm for good states ``(T - t, (arm,))``.
+    Before each slot the engine asks every idle player, one that is not
+    riding a block, for its schedule. A player that states a block rides
+    it, and only the players that answered None are stepped. A ride ends
+    at its stated end, after ``_SPAN`` (1,024) slots, or before the first
+    slot that breaks its range, in which the player is then stepped. When
+    it ends, the player gets one ``observe_block`` whose outcomes are one
+    per slot it rode (``slots`` is 1), built when read, and it is idle
+    again from the next slot it is not stepped in. Its ``next_action`` and
+    ``observe`` are not called in a ride, and a probe sees its state as of
+    the ride's start.
+
+    When every idle player states a block, riders are handed their slots
+    so far and asked again, and if every player states one, the engine
+    takes the shortest block of everyone, however short, up to the first
+    slot that breaks a stated range. It has period P, the lcm of every
+    player's cycle length, and each player's outcomes hold one entry per
+    position j < min(n, P). When P is at least the block's length, each
+    entry is one slot's, built when read, and the engine takes at most
+    ``_SPAN`` slots and then asks again. So a policy counts the slots it
+    is given rather than assume its whole statement. ``phase`` is read
+    after every slot, and a ride that a broken range or a block of
+    everyone ends is handed over in the slot after its last, so a policy
+    may change its phase only at the end of what it stated. A player
+    committed to one arm for good states ``(T - t, (arm,))``.
 
     The engine reads ``next_action``, ``observe`` and ``schedule`` once
     per run, before the first slot, and calls those bound methods. It reads
@@ -265,6 +286,29 @@ def _plan(
     return counts, tuple(players), tuple(singles)
 
 
+def _statement(answer) -> tuple[int, tuple[int, ...], tuple | None] | None:
+    """A ``schedule`` answer as (n, arms, ranges), or None if it is malformed.
+
+    ``ranges`` is None when the answer states none.
+    """
+    size = len(answer) if type(answer) is tuple else 0
+    if size == 3:
+        ranges = answer[2]
+        if not (
+            type(ranges) is tuple
+            and len(ranges) == len(answer[1])
+            and all(type(r) is tuple and len(r) == 2 for r in ranges)
+        ):
+            return None
+    elif size == 2:
+        ranges = None
+    else:
+        return None
+    if answer[0] < 1 or not answer[1]:
+        return None
+    return answer[0], answer[1], ranges
+
+
 def _raised_by(tb, policies: Sequence[Policy]) -> tuple[int, str] | None:
     """The player whose method a traceback passes through first, and the method.
 
@@ -296,8 +340,9 @@ def run(
 
     An error raised in a player's method, and the ``InvalidActionError`` of
     an arm outside [0, K) or a malformed ``schedule`` answer, propagates
-    with the slot (a block's slots for ``observe_block``, its first slot for
-    a stated answer), the player and its phase appended to its message.
+    with the slot (for ``observe_block``, the slots the player rode or the
+    block's; for a stated answer, its first slot), the player and its phase
+    appended to its message.
     """
     opt: OptimalProfile = optimal_profile_for(spec)
     fstar = opt.value
@@ -338,9 +383,15 @@ def run(
     # action tuple -> (player entries, gap, optimal, counts, player singles)
     plans: dict[tuple[int, ...], tuple] = {}
     entries: dict[tuple[int, int], tuple[_Entry, _Single]] = {}
+    stray = None  # the player of a malformed schedule answer or of an arm out of range
 
     def plan_for(arms: Sequence[int]) -> tuple:
-        counts, players, singles = _plan(arms, caps, sdi, entries)
+        nonlocal stray
+        try:
+            counts, players, singles = _plan(arms, caps, sdi, entries)
+        except InvalidActionError:
+            stray = next(i for i, a in enumerate(arms) if not 0 <= a < K)
+            raise
         f_t = 0.0
         for a, c in counts.items():
             f_t += (c if c <= caps[a] else caps[a]) * means[a]
@@ -354,82 +405,160 @@ def run(
     next_actions = [p.next_action for p in policies]
     observers = [p.observe for p in policies]
     schedules = [getattr(p, "schedule", None) for p in policies]
-    blocks = None not in schedules  # whether the run can take blocks
 
     def draw(t: int) -> bytes:
         """X_k bytes of the chunk that starts at slot t, K per slot."""
         return (env_rng.random((min(_CHUNK, T - t), K)) < means_array).tobytes()
 
+    # Rides: player -> (first slot, end slot, cycle, ranges). While anyone
+    # rides, the plan and the row of draws of each slot from ``log_start`` on
+    # are kept, and a ride's outcomes are built from them when it ends.
+    rides: dict[int, tuple] = {}
+    log_plans: list[tuple] = []
+    log_rows: list[bytes] = []
+    log_start = 0
+    handed = (0, 0)  # the slots of the block outcomes last handed to a player
+
+    def end_ride(i: int, last: int) -> None:
+        """End player i's ride and hand it the outcomes of its slots up to ``last``."""
+        nonlocal handed
+        first, _, cycle, _ = rides.pop(i)
+        if first > last:
+            return  # its range broke at its first slot: it rode none
+        handed = (first, last)
+        k, n = first - log_start, last + 1 - first
+        policies[i].observe_block(_PerSlot(log_plans[k : k + n], log_rows[k : k + n], cycle, i, n))
+
+    def settle(t: int) -> tuple:
+        """The slot loop's state from slot t on, for the current rides.
+
+        The idle players, those not riding, are the ones asked for a block
+        and stepped. Slot s is position (s - t) % P of the riders' joint
+        period P, and the returned memo maps (position, stepped players'
+        arms) to that slot's entry (``ride_plan``).
+        """
+        nonlocal log_start
+        idle = [i for i in range(M) if i not in rides]
+        keep = min((first for first, _, _, _ in rides.values()), default=t)
+        del log_plans[: keep - log_start], log_rows[: keep - log_start]
+        log_start = keep
+        riders = [
+            (i, cycle, ranges, (t - first) % len(cycle))
+            for i, (first, _, cycle, ranges) in rides.items()
+        ]
+        return (
+            idle,
+            [(i, schedules[i]) for i in idle if schedules[i] is not None],
+            [next_actions[i] for i in idle],
+            [observers[i] for i in idle],
+            riders,
+            lcm(*(len(cycle) for _, cycle, _, _ in riders)),
+            min((end for _, end, _, _ in rides.values()), default=T),
+            {},
+        )
+
+    def ride_plan(key: tuple, idle: list[int], riders: list[tuple], memo: dict) -> tuple:
+        """The memo entry of a slot with riders, by its ``key``: its position
+        in the riders' joint period, then the stepped players' arms.
+
+        The entry is the slot's plan, the riders whose range its counts
+        break, the stepped players' (arm, entry) pairs and every arm.
+        """
+        pos = key[0]
+        arms = [0] * M
+        for i, a in zip(idle, key[1:]):
+            arms[i] = a
+        for i, cycle, _, offset in riders:
+            arms[i] = cycle[(pos + offset) % len(cycle)]
+        plan = plans.get(tuple(arms)) or plan_for(arms)
+        counts = plan[3]
+        breaks = []
+        for i, cycle, ranges, offset in riders:
+            if ranges is not None:
+                lo, hi = ranges[(pos + offset) % len(cycle)]
+                if not lo <= counts[arms[i]] <= hi:
+                    breaks.append(i)
+        if len(memo) == _MAX_PLANS:
+            memo.clear()
+        entry = memo[key] = (plan, breaks, [(arms[i], plan[0][i]) for i in idle], arms)
+        return entry
+
     draws = b""
     offset = 0
-    stray = None  # the player whose schedule answer was malformed
+    idle, askers, step_next, step_obs, riders, joint, next_end, memo = settle(0)
+    pos = 0  # the slot's position in the riders' joint period
     t = 0
     try:
         while t < T:
-            n = 0  # the slots of the block taken at t; 0 steps the slot
-            if blocks:
-                # Ask the players in order and step the slot at the first
-                # None, so the players after it are not asked.
+            n = 0  # the slots of a block of everyone taken at t; 0 steps the slot
+            if askers:
                 stated = []
-                for schedule in schedules:
+                for i, schedule in askers:
                     answer = schedule(t)
-                    if answer is None:
-                        break
-                    stated.append(answer)
-                else:
-                    # Every player stated a cycle: take the shortest block.
-                    # Its profile repeats with the period P, the lcm of the
-                    # cycle lengths.
-                    n = T - t
-                    period = 1
-                    cycles = []
-                    conditions = []  # (player, the shared flag its answer needs)
-                    for i, answer in enumerate(stated):
-                        size = len(answer) if type(answer) is tuple else 0
-                        if (
-                            not (size == 2 or size == 3 and type(answer[2]) is bool)
-                            or answer[0] < 1
-                            or not answer[1]
-                        ):
+                    if answer is not None:
+                        stated.append((i, answer))
+                if stated:
+                    # Every idle player states a block: end the rides here
+                    # and ask the riders again, so that everyone may take
+                    # one block.
+                    flush = len(stated) == len(idle) and bool(rides)
+                    if flush:
+                        for i in sorted(rides):
+                            end_ride(i, t - 1)
+                            answer = schedules[i](t)
+                            if answer is not None:
+                                stated.append((i, answer))
+                        stated.sort(key=itemgetter(0))
+                    statements = []
+                    for i, answer in stated:
+                        statement = _statement(answer)
+                        if statement is None:
                             stray = i
                             raise InvalidActionError(f"schedule answer {answer!r} is malformed")
-                        m, cycle = answer[0], answer[1]
-                        if size == 3:
-                            conditions.append((i, answer[2]))
-                        n = min(n, m)
-                        period = lcm(period, len(cycle))
-                        cycles.append(cycle)
-                    if period >= n:
-                        # No position repeats, so each slot is one: take at
-                        # most _SPAN of them, as each keeps its row of draws.
-                        n = min(n, _SPAN)
-                    width = min(n, period)  # positions the block reaches
-                    keys = list(islice(zip(*map(cycle_of, cycles)), width))
-                    at = list(map(plans.get, keys))  # the plan of each position
-                    if conditions or None in at:
-                        for j, arms in enumerate(keys):
-                            plan = at[j] = at[j] or plans.get(arms) or plan_for(arms)
-                            counts = plan[3]
-                            if conditions and any(
-                                (counts[arms[i]] > 1) is not shared for i, shared in conditions
-                            ):
+                        statements.append(statement)
+                    if len(stated) < M:
+                        for (i, _), (m, cycle, ranges) in zip(stated, statements):
+                            rides[i] = (t, min(t + min(m, _SPAN), T), cycle, ranges)
+                    else:
+                        # Every player states a cycle: take the shortest
+                        # block. Its profile repeats with the period P, the
+                        # lcm of the cycle lengths.
+                        n = T - t
+                        period = 1
+                        cycles = []
+                        conditions = []  # (player, the count range of each position)
+                        for i, (m, cycle, ranges) in enumerate(statements):
+                            if ranges is not None:
+                                conditions.append((i, ranges))
+                            n = min(n, m)
+                            period = lcm(period, len(cycle))
+                            cycles.append(cycle)
+                        if period >= n:
+                            # No position repeats, so each slot is one: take at
+                            # most _SPAN of them, as each keeps its row of draws.
+                            n = min(n, _SPAN)
+                        width = min(n, period)  # positions the block reaches
+                        keys = list(islice(zip(*map(cycle_of, cycles)), width))
+                        at = list(map(plans.get, keys))  # the plan of each position
+                        if conditions or None in at:
+                            for j, arms in enumerate(keys):
+                                plan = at[j] = at[j] or plans.get(arms) or plan_for(arms)
+                                counts = plan[3]
+                                for i, ranges in conditions:
+                                    lo, hi = ranges[j % len(ranges)]
+                                    if not lo <= counts[arms[i]] <= hi:
+                                        break
+                                else:
+                                    continue
                                 # The block ends before the first position that
-                                # breaks a condition; at position 0, step.
+                                # breaks a range; at position 0, step.
                                 n = width = j
                                 del at[j:]
                                 break
-            if not n:
-                if offset == len(draws):
-                    offset = 0
-                    draws = draw(t)
-                row = draws[offset : offset + K]
-                offset += K
-
-                arms = [next_action(t) for next_action in next_actions]
-                players, gap, optimal, counts, _ = plans.get(tuple(arms)) or plan_for(arms)
-                for observe, a, (miss, hit) in zip(observers, arms, players):
-                    observe(hit if row[a] else miss)
-            else:
+                    if flush or len(stated) < M:  # the riders changed
+                        idle, askers, step_next, step_obs, riders, joint, next_end, memo = settle(t)
+                        pos = 0
+            if n:
                 last = t + n - 1
                 per_slot = period >= n
                 # Hits per (position, occupied arm), counted in each chunk the
@@ -456,6 +585,7 @@ def run(
                                 counted[a] += draws[start + a : stop : stride].count(1)
                     offset = stop
                     s += take
+                handed = (t, last)
                 if per_slot:
                     # Each player's outcomes are built when read: per slot,
                     # its single outcomes there indexed by its arm's draw.
@@ -485,6 +615,52 @@ def run(
                         probe(s, policies, plan[3])
                 _, gap, optimal, counts, _ = at[(n - 1) % period]
                 t = last
+            else:
+                if offset == len(draws):
+                    offset = 0
+                    draws = draw(t)
+                row = draws[offset : offset + K]
+                offset += K
+                if not rides:
+                    arms = [next_action(t) for next_action in next_actions]
+                    players, gap, optimal, counts, _ = plans.get(tuple(arms)) or plan_for(arms)
+                    for observe, a, (miss, hit) in zip(observers, arms, players):
+                        observe(hit if row[a] else miss)
+                else:
+                    # One stepped player, as DPE's leader, costs no comprehension.
+                    if len(step_next) == 1:
+                        key = (pos, step_next[0](t))
+                    else:
+                        key = (pos, *[next_action(t) for next_action in step_next])
+                    entry = memo.get(key) or ride_plan(key, idle, riders, memo)
+                    plan, breaks, stepped, arms = entry
+                    observing = step_obs
+                    if breaks:
+                        # These riders' ranges break in this slot: their
+                        # rides end at the slot before, and they are stepped.
+                        arms = arms[:]
+                        for i in breaks:
+                            end_ride(i, t - 1)
+                            arms[i] = next_actions[i](t)
+                        plan = plans.get(tuple(arms)) or plan_for(arms)
+                        now = sorted(idle + breaks)
+                        observing = [observers[i] for i in now]
+                        stepped = [(arms[i], plan[0][i]) for i in now]
+                    for observe, (a, (miss, hit)) in zip(observing, stepped):
+                        observe(hit if row[a] else miss)
+                    log_plans.append(plan)
+                    log_rows.append(row)
+                    _, gap, optimal, counts, _ = plan
+                    pos += 1
+                    if pos == joint:
+                        pos = 0
+                    if t + 1 == next_end or breaks:
+                        for i in [i for i, ride in rides.items() if ride[1] == t + 1]:
+                            end_ride(i, t)
+                        idle, askers, step_next, step_obs, riders, joint, next_end, memo = settle(
+                            t + 1
+                        )
+                        pos = 0
 
             regret += gap
             if optimal:
@@ -508,13 +684,10 @@ def run(
         elif isinstance(exc, InvalidActionError):
             # A malformed schedule answer, or _plan rejected the slot's
             # profile: name the first player off it.
-            i = stray
-            if i is None:
-                i = next(i for i, a in enumerate(arms) if not 0 <= a < K)
-            method = "next_action"
+            i, method = stray, "next_action"
         else:
             raise
-        where = f"slots {t}-{t + n - 1}" if method == "observe_block" else f"slot {t}"
+        where = f"slots {handed[0]}-{handed[1]}" if method == "observe_block" else f"slot {t}"
         phase = getattr(policies[i], "phase", None)
         exc.args = (f"{exc} at {where}, player {i} in phase {phase!r}",)
         raise

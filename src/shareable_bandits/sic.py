@@ -500,6 +500,8 @@ class SicSdaPolicy:
         arm until the horizon. Orthogonalization: None.
         """
         mode = self._mode
+        if mode == _ORTHO:
+            return None
         n = self._len - self._slot
         if mode == _IE:
             if self._anchor is not None:
@@ -517,8 +519,6 @@ class SicSdaPolicy:
             )
         if mode == _EXPLOIT:
             return self.horizon - t, (self.exploit_arm,)
-        if mode == _ORTHO:
-            return None
         return n, tuple(self._plan[self._slot :])
 
     def observe_block(self, outcomes: Sequence[tuple[Observation, int, int]]) -> None:

@@ -282,7 +282,7 @@ class TestIdlestArmBlocks:
         policy = IdlestArmPolicy(0, make_env())
         for arm, shared in [(0, True), (1, True), (2, False), (3, True), (2, False)]:
             policy.observe(Observation(arm, 0.0, 2 if shared else 1, shared))
-        assert policy.schedule(5) == (195, (2,), False)
+        assert policy.schedule(5) == (195, (2,), ((1, 1),))
         for _ in range(50):  # the statement holds: unshared pulls keep arm 2
             policy.observe(Observation(2, 0.0, 1, False))
             assert policy._best == 2
@@ -294,7 +294,8 @@ class TestIdlestArmBlocks:
         for arm in range(4):
             policy.observe(Observation(arm, 0.0, 2, True))
             # Until every arm is level again, it states nothing.
-            assert policy.schedule(5 + arm) == (None if arm < 3 else (192, (0, 1, 2, 3), True))
+            herd = (192, (0, 1, 2, 3), ((2, 4),) * 4)
+            assert policy.schedule(5 + arm) == (None if arm < 3 else herd)
         for t in range(8, 40):  # the statement holds: shared pulls go round
             assert policy.next_action(t) == t % 4
             policy.observe(Observation(t % 4, 0.0, 2, True))

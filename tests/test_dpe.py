@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import pickle
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from shareable_bandits.dpe import (
 )
 from shareable_bandits.engine import Observation, PublicEnvInfo, run
 from shareable_bandits.harness import policy_factory
-from shareable_bandits.model import EnvSpec, Feedback, oracle
+from shareable_bandits.model import EnvSpec, Feedback, optimal_profile_for, oracle
 from shareable_bandits.protocol import (
     LeaderDecision,
     ProtocolCorruptionError,
@@ -32,7 +33,7 @@ from shareable_bandits.stats import (
     update_capacity_bounds,
 )
 
-from oracles import rotation_arm, simulate_dpe_broadcast
+from oracles import naive_run, rotation_arm, simulate_dpe_broadcast
 
 
 def make_spec(**kw):
@@ -62,6 +63,15 @@ ONE_PLAYER_SPEC = make_spec(
     num_players=1, capacities=(1, 1, 1, 1, 1), horizon=3000,
     means=(0.55, 0.6, 0.5, 0.3, 0.2),
 )
+
+
+def naive(policy, spec):
+    """Step every slot of a run of ``policy`` on ``spec`` (``oracles.naive_run``)."""
+    opt = optimal_profile_for(spec)
+    return naive_run(
+        policy, lambda rng: PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng),
+        spec, True, opt.value, opt.profile.counts, [],
+    )
 
 
 def make_env(spec, seed=0):
@@ -583,7 +593,8 @@ class TestEndToEnd:
                     )
                 return arm
 
-        run(Logged, spec)
+        # Followers ride their rounds in ``run``; the naive loop steps them.
+        naive(Logged, spec)
         assert set(slots) == {"warmup", "bootstrap-park", "comm-broadcast", "explore-round"}
         assert (single_arm_parks > 0) == single_arm
         parking = [slot for slot in rounds.values() if any(row[1] for row in slot)]
@@ -725,6 +736,55 @@ class TestEndToEnd:
             if leader.stats.ie_count[arm] >= 300:
                 mu_hat = leader.stats.ie_sum[arm] / leader.stats.ie_count[arm]
                 assert mu_hat == pytest.approx(spec.means[arm], abs=0.08)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize(
+        "spec", [make_spec(), SEED_63_SPEC], ids=["make-spec", "single-arm-seed-63"]
+    )
+    def test_schedule_is_pure_in_every_mode(self, spec):
+        """Asked twice in any slot, a player answers the same and keeps its
+        state, and a stated cycle starts with the arm the player plays.
+
+        The naive loop steps every slot, so the check runs in every mode.
+        """
+        modes = set()
+
+        class Checked(DpeSdiPolicy):
+            def next_action(self, t):
+                before = pickle.dumps(vars(self))
+                answer = self.schedule(t)
+                assert self.schedule(t) == answer
+                assert pickle.dumps(vars(self)) == before, (t, self._mode)
+                arm = super().next_action(t)
+                assert answer is None or answer[1][0] == arm
+                modes.add((self._mode, self._leader, answer is None))
+                return arm
+
+        naive(Checked, spec)
+        # Nobody leads before the ranks are in. Then the leader is stepped, and
+        # a follower states its rounds until it sees a park.
+        stepped = {"warmup", "bootstrap-park", "comm-broadcast", "explore-round"}
+        assert modes == (
+            {("rally", False, True), ("orthogonalize", False, True)}
+            | {(mode, leader, True) for mode in stepped for leader in (False, True)}
+            | {("explore-round", False, False)}
+        )
+
+    def test_followers_ride_the_synthetic_run(self):
+        """At seed 0 of ``synthetic-0.025``, at the full horizon, followers
+        are stepped in fewer than 20,000 slots of the 500,000 they play."""
+        spec = load_scenario("synthetic-0.025").env_spec("dpe-sdi", 0)
+        stepped = Counter()
+
+        class Counted(DpeSdiPolicy):
+            def next_action(self, t):
+                stepped[self] += 1
+                return super().next_action(t)
+
+        run(Counted, spec)
+        assert [stepped[p] for p in stepped if p.rank == 0] == [spec.horizon]
+        assert sum(stepped[p] for p in stepped if p.rank != 0) < 20_000
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_traces.json").read_text())

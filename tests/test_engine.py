@@ -71,6 +71,13 @@ def first_slot(spec, arms):
     return [p.seen[0] for p in made]
 
 
+def drawn_arms(spec):
+    """X_k of every slot and arm, from the run's environment stream."""
+    env_seed = np.random.SeedSequence(spec.seed).spawn(spec.num_players + 1)[0]
+    rng = np.random.Generator(np.random.PCG64(env_seed))
+    return rng.random((spec.horizon, spec.num_arms)) < np.asarray(spec.means)
+
+
 class TestStep:
     def test_shared_arm_same_reward_and_feedback(self):
         spec = make_spec(means=(1.0, 0.5, 0.5, 0.5), capacities=(1, 1, 1, 1))
@@ -244,6 +251,10 @@ class TestRun:
             (0, (1,)): r"schedule answer \(0, \(1,\)\) is malformed",
             (3, ()): r"schedule answer \(3, \(\)\) is malformed",
             (4, (1,), "x"): r"schedule answer \(4, \(1,\), 'x'\) is malformed",
+            (4, (1,), True): r"schedule answer \(4, \(1,\), True\) is malformed",
+            (4, (1,), ((1, 2), (1, 2))): (
+                r"schedule answer \(4, \(1,\), \(\(1, 2\), \(1, 2\)\)\) is malformed"
+            ),
             (4, (1,), True, 0): r"schedule answer \(4, \(1,\), True, 0\) is malformed",
             (4,): r"schedule answer \(4,\) is malformed",
             5: r"schedule answer 5 is malformed",
@@ -313,6 +324,44 @@ class TestRun:
         ):
             run(FailingInBlocks if blocks else Failing, make_spec(horizon=20))
 
+    def test_ride_error_names_the_slots_ridden(self):
+        """Player 2 rides arm 2 alone in blocks of slots 5k to 5k + 4, and
+        raises on the outcome of slot 7. Player 0 steps onto arm 2 in slot
+        8, so the ride from slot 5 ends at slot 7, and the error names the
+        slots the player rode, not those it stated."""
+
+        class Stepped:
+            phase = "explore"
+
+            def __init__(self, player_id, env):
+                self.player_id = player_id
+
+            def next_action(self, t):
+                return 2 if self.player_id == 0 and t == 8 else self.player_id
+
+            def observe(self, obs):
+                pass
+
+        class Rider(BlockPolicy):
+            phase = "listen"
+
+            def schedule(self, t):
+                n, arms = super().schedule(t)
+                return n, arms, ((1, 1),)
+
+            def observe_block(self, outcomes):
+                if self._t <= 7 < self._t + len(outcomes):
+                    raise ProtocolCorruptionError("lost sync")
+                super().observe_block(outcomes)
+
+        def factory(i, env):
+            return Rider(i, (2,), 5, []) if i == 2 else Stepped(i, env)
+
+        with pytest.raises(
+            ProtocolCorruptionError, match=r"^lost sync at slots 5-7, player 2 in phase 'listen'$"
+        ):
+            run(factory, make_spec(horizon=20))
+
     def test_phase_events_recorded(self):
         spec = make_spec(horizon=10)
         trace = run(fixed_profile_factory([2, 1, 0, 0]), spec)
@@ -324,7 +373,8 @@ class CommittingPolicy:
 
     Once committed, it states ``target`` until the horizon. ``calls``
     collects (player, method, slot) for every ``next_action`` and
-    ``observe``, and ``blocks`` the (first slot, n) of every block outcome.
+    ``observe``, ``blocks`` the (first slot, n) of every block outcome, and
+    ``outcomes`` the outcomes of each block.
     """
 
     def __init__(self, player_id, env, arm, commit_at, target, calls):
@@ -336,6 +386,7 @@ class CommittingPolicy:
         self.calls = calls
         self.phase = "explore"
         self.blocks = []
+        self.outcomes = []
         self._t = 0  # the next slot it plays
 
     def next_action(self, t):
@@ -355,11 +406,13 @@ class CommittingPolicy:
     def observe_block(self, outcomes):
         n = sum(slots for _, _, slots in outcomes)
         self.blocks.append((self._t, n))
+        self.outcomes.append(outcomes)
         self._t += n
 
 
 class TestFastForward:
-    """Once every player has committed, the rest of the run is one block."""
+    """A committed player rides its arm while others are stepped; once every
+    player has committed, the rest of the run is one block."""
 
     # Optimum {0: 2, 1: 1}, worth 2.6. Everyone starts on arm 3; players
     # commit out of order, and in its commit slot each still plays arm 3.
@@ -381,13 +434,20 @@ class TestFastForward:
         return trace, calls, probed, players
 
     def test_one_block_after_every_player_commits(self):
+        """Each player is stepped up to its commit slot and rides from the
+        next. When the last one states its arm, the riders take the slots
+        they rode so far, and then all three take one block."""
         _, calls, _, players = self.simulate(self.COMMIT_AT)
-        assert max(t for _, _, t in calls) == 12
-        for i in range(3):
+        for i, commit_at in enumerate(self.COMMIT_AT):
             for method in ("next_action", "observe"):
                 slots = [t for p, m, t in calls if p == i and m == method]
-                assert slots == list(range(13))
-            assert players[i].blocks == [(13, 37)]  # slots 13-49
+                assert slots == list(range(commit_at + 1))
+        # Player 1 rides slots 6-12 and player 0 slots 10-12, one outcome
+        # per slot; slots 13-49 are one block of one position.
+        assert [p.blocks for p in players] == [
+            [(10, 3), (13, 37)], [(6, 7), (13, 37)], [(13, 37)]
+        ]
+        assert [len(outcomes) for p in players for outcomes in p.outcomes] == [3, 1, 7, 1, 1]
 
     def test_probe_sees_every_slot_with_the_committed_counts(self):
         _, _, probed, _ = self.simulate(self.COMMIT_AT)
@@ -411,12 +471,25 @@ class TestFastForward:
         assert trace.optimal_mask[13:].all()
         assert trace.phase_events == ((0, "explore"), (9, "exploit"))
 
-    def test_one_uncommitted_player_keeps_everyone_stepping(self):
+    def test_committed_players_ride_beside_an_uncommitted_one(self):
+        """Player 2 never commits, so it is stepped in every slot and no
+        block of everyone starts. Players 0 and 1 ride their arm from the
+        slot after they commit to the horizon, and take each ride as one
+        outcome per slot: its arm, count and draw in that slot."""
+        spec = make_spec(horizon=50)
         trace, calls, probed, players = self.simulate((9, 5, None))
-        for i in range(3):
-            slots = [t for p, m, t in calls if p == i and m == "observe"]
-            assert slots == list(range(50))
-            assert players[i].blocks == []
+        for i, last in enumerate((9, 5, 49)):
+            for method in ("next_action", "observe"):
+                slots = [t for p, m, t in calls if p == i and m == method]
+                assert slots == list(range(last + 1))
+        assert [p.blocks for p in players] == [[(10, 40)], [(6, 44)], []]
+        drawn = drawn_arms(spec)
+        for player, first in zip(players[:2], (10, 6)):
+            counts = [2 if t >= 10 else 1 for t in range(first, 50)]
+            assert list(player.outcomes[0]) == [
+                (Observation(0, float(c), c, c > 1), int(drawn[t, 0]), 1)
+                for t, c in zip(range(first, 50), counts)
+            ]
         assert len(probed) == 50
         assert all(counts == {0: 2, 3: 1} for _, counts in probed[10:])
         assert trace.final_regret == pytest.approx(6 * 2.4 + 4 * 1.5 + 40 * 0.6)
@@ -434,14 +507,15 @@ NAIVE_CASES = [
 ]
 
 
-def assert_run_equals_naive_loop(factory, spec):
+def assert_run_equals_naive_loop(factory, spec, probe=None):
     """``run`` and ``oracles.naive_run`` give the same trace, field for field.
 
-    Checkpoints fall every 7 slots, so many lie inside blocks.
+    Checkpoints fall every 7 slots, so many lie inside blocks. ``probe`` is
+    passed to ``run``.
     """
     opt = optimal_profile_for(spec)
     checkpoints = [1, *range(7, spec.horizon, 7), spec.horizon]
-    trace = run(factory, spec, checkpoints=checkpoints)
+    trace = run(factory, spec, checkpoints=checkpoints, probe=probe)
 
     def make_env(rng):
         return PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng)
@@ -668,7 +742,9 @@ class BlockPolicy:
 
 
 class TestMixedBlocks:
-    """Block players with committing players: blocks start once all have committed."""
+    """Block players with committing players: a block player rides while a
+    committing player is stepped, and blocks of everyone start once all have
+    committed."""
 
     # Players 0 and 2 play arm 3 and commit to arm 0 in slots 9 and 5;
     # player 1 cycles through CYCLE in blocks of four slots.
@@ -683,6 +759,12 @@ class TestMixedBlocks:
         return make
 
     def test_committed_players_take_one_outcome_per_block(self):
+        """Player 1 rides its blocks from slot 0, and player 2 its arm from
+        slot 6, while player 0 is stepped. When player 0 states its arm in
+        slot 10, both riders take the slots they rode so far, and every
+        block after is everyone's. Each ride or block is one ``observe_block``
+        call: a ride's outcomes are one per slot, a block of everyone's one
+        per position of its period."""
         calls, probed, grabbed = [], [], []
 
         def probe(t, policies, counts):
@@ -696,13 +778,17 @@ class TestMixedBlocks:
             (3 if t <= 9 else 0, cycle[t % len(cycle)], 3 if t <= 5 else 0) for t in range(50)
         ]
         assert probed == [(t, dict(Counter(arms))) for t, arms in enumerate(profiles)]
-        for i in (0, 2):
-            assert max(t for p, _, t in calls if p == i) == 9
-        # Stepped until every committing player has committed, then blocks
-        # 10-11, 12-15, ..., 44-47 and 48-49, each one outcome per player.
-        assert [t for p, m, t in calls if m == "observe" and p == 1] == list(range(10))
-        blocks = [(10, 2), *((t, 4) for t in range(12, 48, 4)), (48, 2)]
-        assert [player.blocks for player in grabbed] == [blocks] * 3
+        # Stepped up to their commit slots; player 1 is never stepped.
+        for i, last in ((0, 9), (2, 5)):
+            assert [t for p, m, t in calls if m == "observe" and p == i] == list(range(last + 1))
+        everyone = [(10, 2), *((t, 4) for t in range(12, 48, 4)), (48, 2)]
+        rides = [[], [(0, 4), (4, 4), (8, 2)], [(6, 4)]]
+        assert [player.blocks for player in grabbed] == [ridden + everyone for ridden in rides]
+        assert [m for p, m, _ in calls if p == 1] == ["observe_block"] * (len(everyone) + 3)
+        for player, ridden in zip(grabbed, rides):
+            assert [len(outcomes) for outcomes in player.outcomes] == [
+                *(n for _, n in ridden), *(min(n, len(cycle)) for _, n in everyone)
+            ]
 
     def test_trace_equals_naive_loop(self):
         assert_run_equals_naive_loop(self.factory([]), make_spec(horizon=50))
@@ -741,6 +827,9 @@ class TestCycleBlocks:
         assert_run_equals_naive_loop(self.factory([]), make_spec(horizon=50))
 
     def test_one_outcome_per_position_of_the_period(self):
+        """Players 1 and 2 ride slots 0-7 and 8-9 while player 0 is stepped,
+        one outcome per slot. Player 0 commits in slot 9; from slot 10 each
+        block of everyone gives one outcome per position of the period."""
         grabbed = []
 
         def probe(t, policies, counts):
@@ -748,25 +837,28 @@ class TestCycleBlocks:
 
         spec = make_spec(horizon=50)
         run(self.factory([]), spec, probe=probe)
-        # X_k of every slot, from the run's environment stream.
-        env_seed = np.random.SeedSequence(spec.seed).spawn(spec.num_players + 1)[0]
-        rng = np.random.Generator(np.random.PCG64(env_seed))
-        drawn = rng.random((spec.horizon, spec.num_arms)) < np.asarray(spec.means)
+        drawn = drawn_arms(spec)
+        rides = [(0, 8), (8, 2)]
         starts = [(10, 6), (16, 8), (24, 8), (32, 8), (40, 8), (48, 2)]
         assert grabbed[0].blocks == starts
         for i, cycle in self.CYCLES.items():
             player = grabbed[i]
-            assert player.blocks == starts
+            assert player.blocks == rides + starts
             for (start, n), outcomes in zip(player.blocks, player.outcomes):
-                assert len(outcomes) == min(n, 6)
+                ride = start < 10
+                assert len(outcomes) == (n if ride else min(n, 6))
                 for j, (obs, hits, slots) in enumerate(outcomes):
                     arm = cycle[(start + j) % len(cycle)]
                     others = [c[(start + j) % len(c)] for k, c in self.CYCLES.items() if k != i]
-                    count = 1 + others.count(arm) + (arm == 0)  # player 0 sits on arm 0
+                    # Player 0 sits on arm 3 to slot 9 and on arm 0 after.
+                    count = 1 + others.count(arm) + (arm == (3 if start < 10 else 0))
                     assert (obs.arm, obs.count) == (arm, count)
                     assert obs.reward == min(count, spec.capacities[arm])
-                    assert slots == len(range(j, n, 6))
-                    assert hits == sum(drawn[start + j : start + n : 6, arm])
+                    if ride:
+                        assert (hits, slots) == (drawn[start + j, arm], 1)
+                    else:
+                        assert slots == len(range(j, n, 6))
+                        assert hits == sum(drawn[start + j : start + n : 6, arm])
 
 
 class TestPerSlotBlocks:
@@ -793,10 +885,7 @@ class TestPerSlotBlocks:
 
         spec = make_spec(horizon=50)
         run(factory, spec)
-        # X_k of every slot, from the run's environment stream.
-        env_seed = np.random.SeedSequence(spec.seed).spawn(spec.num_players + 1)[0]
-        rng = np.random.Generator(np.random.PCG64(env_seed))
-        drawn = rng.random((spec.horizon, spec.num_arms)) < np.asarray(spec.means)
+        drawn = drawn_arms(spec)
         # With a span of 5, every 8-slot block is cut after its fifth slot.
         cuts = [(s, min(span, 8)) for s in range(0, 48, 8)]
         cuts += [(s + span, 8 - span) for s in range(0, 48, 8) if span < 8]
@@ -824,6 +913,115 @@ class TestPerSlotBlocks:
                 for j, entry in enumerate(outcomes):
                     assert outcomes[j] is entry
                     assert outcomes[j : j + 1][0] is entry
+
+
+class Shifter:
+    """Cycles through ``arms``, and moves one arm further along them after a
+    slot whose count on its arm exceeds ``limit``.
+
+    It states its cycle to the horizon with the count range (1, limit) at
+    every position, within which it plays the cycle whatever it observes.
+    Its phase names its shift. ``rides`` collects the (first slot, n) of
+    every ride, and ``played`` the arm of every ``next_action``.
+    """
+
+    def __init__(self, player_id, env, arms, limit):
+        self.arms, self.limit, self.horizon = arms, limit, env.horizon
+        self.shift = 0
+        self.phase = "shift 0"
+        self.rides = []
+        self.played = []
+        self._t = 0  # the next slot it plays
+
+    def arm(self, t):
+        return self.arms[(t + self.shift) % len(self.arms)]
+
+    def next_action(self, t):
+        self._t = t
+        self.played.append(self.arm(t))
+        return self.played[-1]
+
+    def observe(self, obs):
+        if obs.count > self.limit:
+            self.shift += 1
+            self.phase = f"shift {self.shift}"
+        self._t += 1
+
+    def schedule(self, t):
+        size = len(self.arms)
+        cycle = tuple(self.arm(s) for s in range(t, t + size))
+        return self.horizon - t, cycle, ((1, self.limit),) * size
+
+    def observe_block(self, outcomes):
+        assert all(obs.count <= self.limit and slots == 1 for obs, _, slots in outcomes)
+        self.rides.append((self._t, len(outcomes)))
+        self._t += len(outcomes)
+
+
+class Wanderer:
+    """Plays arm 3 in about three slots of four and a random arm in the
+    others, from its own generator, and states no block.
+
+    ``played`` collects the arm of every ``next_action``.
+    """
+
+    phase = "wander"
+
+    def __init__(self, player_id, env):
+        self.rng, self.num_arms = env.rng, env.num_arms
+        self.played = []
+
+    def next_action(self, t):
+        home = self.rng.random() < 0.75
+        self.played.append(3 if home else int(self.rng.integers(self.num_arms)))
+        return self.played[-1]
+
+    def observe(self, obs):
+        pass
+
+
+# Riders of ``TestRides``: player -> (arms, largest count).
+RIDERS = {0: ((0, 1), 1), 1: ((2, 3), 1)}
+
+
+class TestRides:
+    """One stepped player beside two riders whose count ranges break mid-ride.
+
+    Player 2 wanders. Players 0 and 1 ride arms (0, 1) and (2, 3), alone on
+    their arm. A slot that breaks a rider's range ends its ride at the slot
+    before and steps it there, which moves its cycle on. ``_SPAN`` is 7, so
+    a ride that holds is cut after 7 slots.
+    """
+
+    @pytest.mark.parametrize("chunk", [engine._CHUNK, 5])
+    def test_trace_equals_naive_loop(self, monkeypatch, chunk):
+        monkeypatch.setattr(engine, "_SPAN", 7)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        spec = make_spec(horizon=400)
+        made, probed = [], []
+
+        def factory(i, env):
+            made.append(Wanderer(i, env) if i == 2 else Shifter(i, env, *RIDERS[i]))
+            return made[-1]
+
+        def probe(t, policies, counts):
+            probed.append((t, dict(counts)))
+
+        assert_run_equals_naive_loop(factory, spec, probe)
+        # The probe sees every slot once, with the counts the naive loop plays.
+        stepped = made[spec.num_players :]
+        assert probed == [
+            (t, dict(Counter(p.played[t] for p in stepped))) for t in range(spec.horizon)
+        ]
+        for i in RIDERS:
+            rider = made[i]
+            assert rider.shift > 5
+            assert max(n for _, n in rider.rides) == 7
+            # Rides cut short by a broken range, not by the horizon.
+            assert any(0 < n < 7 and first + n < spec.horizon for first, n in rider.rides)
+            # Every slot is stepped or ridden, and none is both.
+            assert len(rider.played) + sum(n for _, n in rider.rides) == spec.horizon
+        assert len(made[2].played) == spec.horizon
 
 
 class CountedIdlestArm(IdlestArmPolicy):

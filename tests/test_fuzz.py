@@ -5,9 +5,10 @@ capacities all 1 or all M, one player, and one arm more than players. Each
 run must raise nothing and pay no slot above the optimum, and DPE players'
 views must agree whenever every player starts a round. On the same
 environments sic-sda and sic-sdi, which take most slots in engine blocks,
-must give the trace of ``oracles.naive_run``, which steps every slot, and
-dpe-sdi, whose leader re-derives only the arms a round played, must give the
-trace of a leader that re-derives every arm.
+must give the trace of ``oracles.naive_run``, which steps every slot, and so
+must dpe-sdi, whose followers ride their rounds while the leader steps.
+dpe-sdi, whose leader re-derives only the arms a round played, must also
+give the trace of a leader that re-derives every arm.
 """
 
 import numpy as np
@@ -92,14 +93,16 @@ def test_full_runs_stay_sound(algorithm, env):
     assert desync == []
 
 
-@pytest.mark.parametrize("algorithm", ["sic-sda", "sic-sdi"])
+@pytest.mark.parametrize("algorithm", ["dpe-sdi", "sic-sda", "sic-sdi"])
 @settings(max_examples=200, deadline=None)
 @given(env=environments())
-# One player (each stage ends at once); tied means; means in {0, 1}.
+# One player (each stage ends at once); tied means; means in {0, 1}; a DPE
+# leader that parks in a single-arm view.
 @example(env=(2, 1, (0.5, 0.5), (1, 1), 600, 1))
 @example(env=(5, 3, (0.4, 0.4, 0.4, 0.4, 0.4), (1, 1, 1, 1, 1), 800, 3))
 @example(env=(4, 3, (1.0, 0.0, 1.0, 0.0), (3, 3, 3, 3), 800, 2))
-def test_sic_blocks_equal_naive_loop(algorithm, env):
+@example(env=(8, 2, (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0), (2, 1, 2, 2, 2, 2, 2, 1), 1205, 63))
+def test_blocks_equal_naive_loop(algorithm, env):
     num_arms, num_players, means, caps, horizon, seed = env
     policy, feedback = ALGORITHMS[algorithm]
     spec = EnvSpec(num_arms, num_players, means, caps, horizon, feedback=feedback, seed=seed)

@@ -22,23 +22,14 @@ adds nobody to P's count, so the leader instead signals by leaving P at
 round slot 0. A follower that notices the park keeps playing its planned
 arms instead of idling on the park arm.
 
-Every stretch but orthogonalization (rally, warm-up, bootstrap park,
-broadcast, round) is planned when it starts, and no plan is rewritten after.
-
 Followers ride their rounds as engine blocks; the leader is stepped. In a
 round of an unchanged view, a follower's rounds to come are the plan
-table's, so it states them as one cycle (``schedule``), with the count
-range its round test allows at each slot, and rides until the leader
-parks, the engine cuts the ride, or the horizon. A ride's outcomes only
-advance its slot counter (``observe_block``). The leader's probe coins and
-news change every round, so it answers None and steps every slot.
-
-The leader's update after a round re-derives only the arms that round
-played (after the warm-up sweep, every arm): their means, their capacity
-bracket checks, and their places in the arm order on which the last oracle
-answer rests. Only those arms gained samples. Every other arm's mean,
-bracket inputs and bounds are as the last update left them, so its check
-would change nothing and its neighbours in the order are still in order.
+table's, so it states them (``schedule``), with the count range its round
+test allows at each slot, and rides until the leader parks, the engine
+cuts the ride, or the horizon. A ride's outcomes only advance its slot
+counter (``observe_block``). The leader's probe coins and news change
+every round, so it answers None and steps every slot. Its update after a
+round re-derives only the arms that round played (``_leader_update``).
 """
 
 from __future__ import annotations
@@ -47,7 +38,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import gcd, inf
 
-from .engine import Observation, PublicEnvInfo
+from .engine import _SPAN, Observation, PublicEnvInfo
 from .model import Feedback, oracle
 from .protocol import (
     LeaderDecision,
@@ -430,23 +421,28 @@ class DpeSdiPolicy:
 
         In a round of an unchanged view (no park seen), the rounds that
         follow play the table's plans, and rounds of length L come back to
-        the same plan every L·M/gcd(L, M) slots. Each slot's count range is
-        ``observe``'s own test: (1, its limit), or in a single-arm view
-        (M, M) at round slot 0 and (1, M) elsewhere. The leader and every
-        other stretch answer None.
+        the same plan every L·M/gcd(L, M) slots. It states that cycle, or
+        when it is longer, once, only the rounds that cover the next
+        ``_SPAN`` slots, the most that one ride takes. Each slot's count
+        range is ``observe``'s own test: (1, its limit), or in a single-arm
+        view (M, M) at round slot 0 and (1, M) elsewhere. The leader and
+        every other stretch answer None.
         """
-        if self._mode != _ROUND or self._leader or self._pending:
+        if self._leader or self._mode != _ROUND or self._pending:
             return None
-        num_players, length, start = self.num_players, self._len, self._start
+        num_players, length, start, s = self.num_players, self._len, self._start, self._slot
+        cycle = num_players // gcd(length, num_players)  # rounds until the plans repeat
+        rounds = min(cycle, -(-(s + _SPAN) // length))
         arms, ranges = [], []
-        for r in range(num_players // gcd(length, num_players)):
+        for r in range(rounds):
             plan, limits = self._plans[(self.rank + start + r * length) % num_players]
             arms += plan
             if limits is None:
                 ranges += [(num_players, num_players)] + [(1, num_players)] * (length - 1)
             else:
                 ranges += [(1, limit) for limit in limits]
-        s = self._slot
+        if rounds < cycle:
+            return len(arms) - s, tuple(arms[s:]), tuple(ranges[s:])
         return self.horizon - t, tuple(arms[s:] + arms[:s]), tuple(ranges[s:] + ranges[:s])
 
     def observe_block(self, outcomes: Sequence[tuple[Observation, int, int]]) -> None:
@@ -514,12 +510,6 @@ class DpeSdiPolicy:
     def _end_stretch(self) -> None:
         """Begin the stretch that follows the one just played."""
         t0 = self._start + self._len
-        if self._limits is not None and not self._pending:
-            # A follower's round that saw no park is followed by a round of
-            # the same view: the table's plan, of the same length.
-            self._plan, self._limits = self._plans[(self.rank + t0) % self.num_players]
-            self._start, self._slot = t0, 0
-            return
         mode = self._mode
         if mode == _RALLY:
             self._mode = _ORTHO

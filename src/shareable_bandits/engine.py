@@ -6,53 +6,38 @@ arm), and hands each player only its own observation. Players never see
 anything else: the observation carries the arm's total reward plus either
 the sharing count (SDI) or a 1-bit shared flag (SDA).
 
-Three things keep ``run`` cheap without changing a single output value:
+``run`` is kept cheap without changing a single output value:
 
 - **Slot plans.** Everything about a slot except the arm draws depends only
   on the action profile: each player's arm, capped factor min(a_k, m_k),
   count and shared flag, the slot's regret gap and whether it is optimal.
-  ``run`` builds this plan once per distinct action tuple and keeps it in a
-  per-run dict; a slot is then one lookup plus the draws.
-- **Blocks.** A policy may state that for the next n slots it cycles
-  through a fixed tuple of arms whatever it observes (``schedule``), or
-  whatever it observes provided its arm's count stays in a stated range at
-  each position of the cycle, and then take those slots' outcome in one
-  call (``observe_block``). Blocks are per player. A player that states one
-  rides it: the engine plays its stated arms and does not call its
-  ``next_action`` or ``observe``, and it steps only the players that
-  answered None. Slots with riders are planned per regime, a stretch with
-  one set of riders: a memo keyed by the riders' joint period position and
-  the stepped players' arms gives the slot's plan, the riders whose range
-  it breaks and the stepped players' entries, so a slot costs the same
-  however many ride. A ride ends at its stated end, after ``_SPAN`` slots,
-  or before the first slot whose planned count breaks its range, where the
-  player is stepped. The engine keeps each ridden slot's plan and row of
-  draws meanwhile, and hands the player its outcomes, one per slot, when
-  the ride ends. A player committed for good states one arm to the horizon.
+  ``run`` builds this plan once per distinct action tuple, so a slot is one
+  lookup plus the draws. The observations are interned per (arm, count,
+  draw), at most 2·K·M per run, and shared between players and slots.
+- **Stretches.** Stepped slots run in stretches. ``run`` finds the next
+  event once, the end of the drawn chunk, the next checkpoint or the
+  earliest ride's end, and steps every slot up to it in a tight loop that
+  asks the idle players for a block, steps them, hands out the
+  observations, adds the slot's gap and calls ``probe``. A block answer
+  ends the stretch before its slot, and a broken range after it. Player
+  0's phase is read after each slot in which it is stepped, and where it
+  is handed what it stated.
+- **Rides.** A player that states a block (``Policy``) rides it: the engine
+  plays its stated arms and steps only the others. While the same players
+  ride, a memo keyed by the riders' joint period position and the stepped
+  players' arms gives each slot's plan and the riders whose range it
+  breaks, so a slot costs the same however many ride. The engine keeps
+  each ridden slot's plan and row of draws, and builds the rider's
+  outcomes from them when the ride ends.
 - **Blocks of everyone.** When every player states a cycle in the same
-  slot (riders are handed their slots so far and asked again), the engine
-  takes the shortest block at once, with one plan per position of the
-  period P, the lcm of the cycle lengths. The plans fix every count before
-  anything is drawn, so it checks each stated range against them and cuts
-  the block before the first position that breaks one, stepping the slot
-  when that is position 0. It counts each position's hits on each occupied
-  arm in the drawn chunks, P rows apart, and draws the chunks at the slots
-  stepping would. When P is at least the block's length, as in SIC's
-  communication stages, no position repeats and every slot is its own
-  position: the engine then takes at most ``_SPAN`` slots and keeps each
-  slot's row of draws. Each player's outcomes are then, as a ride's, a
-  read-only sequence whose entries, its interned one-slot outcomes indexed
-  by its arm's draw, are built only when read. Either way the engine folds
-  the positions' gaps into the regret at C level, in slot order, between
-  the checkpoints inside the block, fills the optimality mask, and keeps
-  calling ``probe`` every slot.
-- **Interned observations.** A player's observation depends only on its
-  arm, its arm's count and the arm's draw. ``run`` builds the two
-  observations for each (arm, count), one for a 0 draw and one for a 1,
-  and the two one-slot block outcomes, the first time a plan needs them,
-  so a run builds at most 2·K·M of each and a stepped player-slot or a
-  one-slot position builds none. ``run`` also binds every player's
-  ``next_action`` and ``observe`` once, before the first slot.
+  slot, the engine takes the shortest block at once, with one plan per
+  position of the period P, the lcm of the cycle lengths, cut before the
+  first position whose planned counts break a stated range. It counts each
+  position's hits on each occupied arm in the drawn chunks, P rows apart.
+  When P is at least the block's length, as in SIC's communication stages,
+  every slot is its own position: the engine takes at most ``_SPAN`` slots
+  and keeps their rows. Either way it folds the gaps into the regret at C
+  level, in slot order, and calls ``probe`` every slot.
 """
 
 from __future__ import annotations
@@ -132,9 +117,7 @@ class Policy(Protocol):
       means "step me this slot". The answer ``(n, arms, ranges)``, with
       ``ranges`` a tuple of one ``(lo, hi)`` pair per arm of the cycle,
       says the same provided that in each of those slots its arm's count
-      lies in [lo, hi] of the slot's position in the cycle. The engine
-      then holds the statement only up to the first slot whose planned
-      count breaks its range, and steps the player in that slot. Any other
+      lies in [lo, hi] of the slot's position in the cycle. Any other
       answer is malformed. The query has no side effects: asked twice, it
       answers the same and changes nothing.
     - ``observe_block(outcomes)``: the outcome of such slots at once, one
@@ -149,12 +132,12 @@ class Policy(Protocol):
     riding a block, for its schedule. A player that states a block rides
     it, and only the players that answered None are stepped. A ride ends
     at its stated end, after ``_SPAN`` (1,024) slots, or before the first
-    slot that breaks its range, in which the player is then stepped. When
-    it ends, the player gets one ``observe_block`` whose outcomes are one
-    per slot it rode (``slots`` is 1), built when read, and it is idle
-    again from the next slot it is not stepped in. Its ``next_action`` and
+    slot whose planned count breaks its range, in which the player is then
+    stepped. When it ends, the player gets one ``observe_block`` with one
+    outcome per slot it rode (``slots`` is 1), and it is idle again from
+    the next slot it is not stepped in. Its ``next_action`` and
     ``observe`` are not called in a ride, and a probe sees its state as of
-    the ride's start.
+    the ride's start in every slot it rides.
 
     When every idle player states a block, riders are handed their slots
     so far and asked again, and if every player states one, the engine
@@ -162,13 +145,17 @@ class Policy(Protocol):
     slot that breaks a stated range. It has period P, the lcm of every
     player's cycle length, and each player's outcomes hold one entry per
     position j < min(n, P). When P is at least the block's length, each
-    entry is one slot's, built when read, and the engine takes at most
-    ``_SPAN`` slots and then asks again. So a policy counts the slots it
-    is given rather than assume its whole statement. ``phase`` is read
-    after every slot, and a ride that a broken range or a block of
-    everyone ends is handed over in the slot after its last, so a policy
-    may change its phase only at the end of what it stated. A player
-    committed to one arm for good states ``(T - t, (arm,))``.
+    entry is one slot's, and the engine takes at most ``_SPAN`` slots and
+    then asks again. So a policy counts the slots it is given rather than
+    assume its whole statement. A player committed to one arm for good
+    states ``(T - t, (arm,))``.
+
+    Player 0's ``phase`` is read after each slot in which it is stepped,
+    and where it is handed what it stated: at the last slot of a ride that
+    ends at its stated end or after ``_SPAN`` slots, and of a block of
+    everyone. A ride that a broken range or a block of everyone ends is
+    handed over in a later slot, so a policy may change its phase only in
+    a slot it is stepped in or at the end of what it stated.
 
     The engine reads ``next_action``, ``observe`` and ``schedule`` once
     per run, before the first slot, and calls those bound methods. It reads
@@ -198,35 +185,37 @@ class _PerSlot(Sequence):
     """One player's outcomes of a block with one slot per position.
 
     Entry j is the player's single outcome at position j, indexed by its
-    arm's draw in slot j's row. Entries are built when read, so a player
-    that reads only the length builds none.
+    arm's draw in slot j, which ``rows`` holds from byte ``starts[j]`` on,
+    one row per slot. Entries are built when read, so a player that reads
+    only the length builds none.
     """
 
-    __slots__ = ("_at", "_rows", "_cycle", "_player", "_n")
+    __slots__ = ("_at", "_rows", "_starts", "_cycle", "_player", "_n")
 
     def __init__(
-        self, at: list[tuple], rows: list[bytes], cycle: tuple[int, ...], player: int, n: int
+        self, at: list[tuple], rows: bytes, cycle: tuple[int, ...], player: int, n: int
     ) -> None:
         self._at, self._rows, self._cycle, self._player, self._n = at, rows, cycle, player, n
+        self._starts = range(0, len(rows), len(rows) // n)
 
     def __len__(self) -> int:
         return self._n
 
     def __iter__(self) -> Iterator[tuple]:
-        return self._read(self._at, self._rows, cycle_of(self._cycle))
+        return self._read(self._at, self._starts, cycle_of(self._cycle))
 
     def __getitem__(self, index):
         cycle = self._cycle
         if isinstance(index, slice):
             positions = range(self._n)[index]
             arms = map(cycle.__getitem__, map(mod, positions, repeat(len(cycle))))
-            return list(self._read(self._at[index], self._rows[index], arms))
+            return list(self._read(self._at[index], self._starts[index], arms))
         j = range(self._n)[index]  # raises IndexError past either end
-        return self._at[j][4][self._player][self._rows[j][cycle[j % len(cycle)]]]
+        return self._at[j][4][self._player][self._rows[self._starts[j] + cycle[j % len(cycle)]]]
 
-    def _read(self, at: list[tuple], rows: list[bytes], arms: Iterable[int]) -> Iterator[tuple]:
+    def _read(self, at: list[tuple], starts: range, arms: Iterable[int]) -> Iterator[tuple]:
         singles = map(itemgetter(self._player), map(itemgetter(4), at))
-        return map(getitem, singles, map(getitem, rows, arms))
+        return map(getitem, singles, map(self._rows.__getitem__, map(add, starts, arms)))
 
 
 @dataclass
@@ -297,7 +286,8 @@ def _statement(answer) -> tuple[int, tuple[int, ...], tuple | None] | None:
         if not (
             type(ranges) is tuple
             and len(ranges) == len(answer[1])
-            and all(type(r) is tuple and len(r) == 2 for r in ranges)
+            and set(map(type, ranges)) == {tuple}
+            and set(map(len, ranges)) == {2}
         ):
             return None
     elif size == 2:
@@ -373,10 +363,9 @@ def run(
     cps = sorted(set(int(c) for c in cps))
     if any(c < 1 or c > T for c in cps):
         raise ValueError("checkpoints must lie in [1, horizon]")
-    cp_set = set(cps)
     cp_regret: list[float] = []
 
-    optimal_mask = np.zeros(T, dtype=bool)
+    optimal_mask = bytearray(T)  # 1 where the profile equalled the optimum
     phase_events: list[tuple[int, str]] = []
     last_phase: str | None = None
 
@@ -415,7 +404,7 @@ def run(
     # are kept, and a ride's outcomes are built from them when it ends.
     rides: dict[int, tuple] = {}
     log_plans: list[tuple] = []
-    log_rows: list[bytes] = []
+    log_rows = bytearray()  # K bytes per slot
     log_start = 0
     handed = (0, 0)  # the slots of the block outcomes last handed to a player
 
@@ -427,7 +416,8 @@ def run(
             return  # its range broke at its first slot: it rode none
         handed = (first, last)
         k, n = first - log_start, last + 1 - first
-        policies[i].observe_block(_PerSlot(log_plans[k : k + n], log_rows[k : k + n], cycle, i, n))
+        rows = log_rows[k * K : (k + n) * K]
+        policies[i].observe_block(_PerSlot(log_plans[k : k + n], rows, cycle, i, n))
 
     def settle(t: int) -> tuple:
         """The slot loop's state from slot t on, for the current rides.
@@ -440,7 +430,7 @@ def run(
         nonlocal log_start
         idle = [i for i in range(M) if i not in rides]
         keep = min((first for first, _, _, _ in rides.values()), default=t)
-        del log_plans[: keep - log_start], log_rows[: keep - log_start]
+        del log_plans[: keep - log_start], log_rows[: (keep - log_start) * K]
         log_start = keep
         riders = [
             (i, cycle, ranges, (t - first) % len(cycle))
@@ -450,7 +440,6 @@ def run(
             idle,
             [(i, schedules[i]) for i in idle if schedules[i] is not None],
             [next_actions[i] for i in idle],
-            [observers[i] for i in idle],
             riders,
             lcm(*(len(cycle) for _, cycle, _, _ in riders)),
             min((end for _, end, _, _ in rides.values()), default=T),
@@ -462,7 +451,7 @@ def run(
         in the riders' joint period, then the stepped players' arms.
 
         The entry is the slot's plan, the riders whose range its counts
-        break, the stepped players' (arm, entry) pairs and every arm.
+        break, the stepped players' (``observe``, arm, entry) and every arm.
         """
         pos = key[0]
         arms = [0] * M
@@ -480,104 +469,109 @@ def run(
                     breaks.append(i)
         if len(memo) == _MAX_PLANS:
             memo.clear()
-        entry = memo[key] = (plan, breaks, [(arms[i], plan[0][i]) for i in idle], arms)
+        stepped = [(observers[i], arms[i], plan[0][i]) for i in idle]
+        entry = memo[key] = (plan, breaks, stepped, arms)
         return entry
+
+    def read_phase(t: int) -> None:
+        """Record player 0's phase after slot t, if it changed."""
+        nonlocal last_phase
+        phase = getattr(first, "phase", None)
+        if phase is not None and phase != last_phase:
+            phase_events.append((t, str(phase)))
+            last_phase = phase
 
     draws = b""
     offset = 0
-    idle, askers, step_next, step_obs, riders, joint, next_end, memo = settle(0)
+    idle, askers, step_next, riders, joint, next_end, memo = settle(0)
     pos = 0  # the slot's position in the riders' joint period
+    marks = [*cps, T + 1]  # a stretch ends before each; regret is sampled there
+    first = policies[0]
+    stated = []  # (player, answer) of the idle players that state a block at slot t
     t = 0
     try:
         while t < T:
-            n = 0  # the slots of a block of everyone taken at t; 0 steps the slot
-            if askers:
+            n = None  # the slots of a block of everyone taken at t
+            if stated:
+                # Every idle player states a block: end the rides here and
+                # ask the riders again, so that everyone may take one block.
+                flush = len(stated) == len(idle) and bool(rides)
+                if flush:
+                    for i in sorted(rides):
+                        end_ride(i, t - 1)
+                        answer = schedules[i](t)
+                        if answer is not None:
+                            stated.append((i, answer))
+                    stated.sort(key=itemgetter(0))
+                statements = []
+                for i, answer in stated:
+                    statement = _statement(answer)
+                    if statement is None:
+                        stray = i
+                        raise InvalidActionError(f"schedule answer {answer!r} is malformed")
+                    statements.append(statement)
+                if len(stated) < M:
+                    for (i, _), (m, cycle, ranges) in zip(stated, statements):
+                        rides[i] = (t, min(t + min(m, _SPAN), T), cycle, ranges)
+                else:
+                    # Every player states a cycle: take the shortest block.
+                    # Its profile repeats with the period P, the lcm of the
+                    # cycle lengths.
+                    n = T - t
+                    period = 1
+                    cycles = []
+                    conditions = []  # (player, the count range of each position)
+                    for i, (m, cycle, ranges) in enumerate(statements):
+                        if ranges is not None:
+                            conditions.append((i, ranges))
+                        n = min(n, m)
+                        period = lcm(period, len(cycle))
+                        cycles.append(cycle)
+                    if period >= n:
+                        # No position repeats, so each slot is one: take at
+                        # most _SPAN of them, as each keeps its row of draws.
+                        n = min(n, _SPAN)
+                    width = min(n, period)  # positions the block reaches
+                    keys = list(islice(zip(*map(cycle_of, cycles)), width))
+                    at = list(map(plans.get, keys))  # the plan of each position
+                    if conditions or None in at:
+                        for j, arms in enumerate(keys):
+                            plan = at[j] = at[j] or plans.get(arms) or plan_for(arms)
+                            counts = plan[3]
+                            for i, ranges in conditions:
+                                lo, hi = ranges[j % len(ranges)]
+                                if not lo <= counts[arms[i]] <= hi:
+                                    break
+                            else:
+                                continue
+                            # The block ends before the first position that
+                            # breaks a range; at position 0, step.
+                            n = width = j
+                            del at[j:]
+                            break
+                if flush or len(stated) < M:  # the riders changed
+                    idle, askers, step_next, riders, joint, next_end, memo = settle(t)
+                    pos = 0
                 stated = []
-                for i, schedule in askers:
-                    answer = schedule(t)
-                    if answer is not None:
-                        stated.append((i, answer))
-                if stated:
-                    # Every idle player states a block: end the rides here
-                    # and ask the riders again, so that everyone may take
-                    # one block.
-                    flush = len(stated) == len(idle) and bool(rides)
-                    if flush:
-                        for i in sorted(rides):
-                            end_ride(i, t - 1)
-                            answer = schedules[i](t)
-                            if answer is not None:
-                                stated.append((i, answer))
-                        stated.sort(key=itemgetter(0))
-                    statements = []
-                    for i, answer in stated:
-                        statement = _statement(answer)
-                        if statement is None:
-                            stray = i
-                            raise InvalidActionError(f"schedule answer {answer!r} is malformed")
-                        statements.append(statement)
-                    if len(stated) < M:
-                        for (i, _), (m, cycle, ranges) in zip(stated, statements):
-                            rides[i] = (t, min(t + min(m, _SPAN), T), cycle, ranges)
-                    else:
-                        # Every player states a cycle: take the shortest
-                        # block. Its profile repeats with the period P, the
-                        # lcm of the cycle lengths.
-                        n = T - t
-                        period = 1
-                        cycles = []
-                        conditions = []  # (player, the count range of each position)
-                        for i, (m, cycle, ranges) in enumerate(statements):
-                            if ranges is not None:
-                                conditions.append((i, ranges))
-                            n = min(n, m)
-                            period = lcm(period, len(cycle))
-                            cycles.append(cycle)
-                        if period >= n:
-                            # No position repeats, so each slot is one: take at
-                            # most _SPAN of them, as each keeps its row of draws.
-                            n = min(n, _SPAN)
-                        width = min(n, period)  # positions the block reaches
-                        keys = list(islice(zip(*map(cycle_of, cycles)), width))
-                        at = list(map(plans.get, keys))  # the plan of each position
-                        if conditions or None in at:
-                            for j, arms in enumerate(keys):
-                                plan = at[j] = at[j] or plans.get(arms) or plan_for(arms)
-                                counts = plan[3]
-                                for i, ranges in conditions:
-                                    lo, hi = ranges[j % len(ranges)]
-                                    if not lo <= counts[arms[i]] <= hi:
-                                        break
-                                else:
-                                    continue
-                                # The block ends before the first position that
-                                # breaks a range; at position 0, step.
-                                n = width = j
-                                del at[j:]
-                                break
-                    if flush or len(stated) < M:  # the riders changed
-                        idle, askers, step_next, step_obs, riders, joint, next_end, memo = settle(t)
-                        pos = 0
             if n:
-                last = t + n - 1
+                end = t + n
                 per_slot = period >= n
                 # Hits per (position, occupied arm), counted in each chunk the
                 # block spans; chunks are drawn at the slots stepping would.
                 # Position j's slots are P rows apart. When each slot is its
                 # own position, its rows are kept instead, K bytes per slot.
                 hits = [] if per_slot else [dict.fromkeys(plan[3], 0) for plan in at]
-                rows = []
+                rows = bytearray()
                 stride = K * period
                 s = t
-                while s <= last:
+                while s < end:
                     if offset == len(draws):
                         offset = 0
                         draws = draw(s)
-                    take = min(last + 1 - s, (len(draws) - offset) // K)
+                    take = min(end - s, (len(draws) - offset) // K)
                     stop = offset + take * K
                     if per_slot:
-                        ends = range(offset + K, stop + K, K)
-                        rows += map(draws.__getitem__, map(slice, range(offset, stop, K), ends))
+                        rows += draws[offset:stop]
                     else:
                         for j, counted in enumerate(hits):
                             start = offset + (j - (s - t)) % period * K
@@ -585,7 +579,7 @@ def run(
                                 counted[a] += draws[start + a : stop : stride].count(1)
                     offset = stop
                     s += take
-                handed = (t, last)
+                handed = (t, end - 1)
                 if per_slot:
                     # Each player's outcomes are built when read: per slot,
                     # its single outcomes there indexed by its arm's draw.
@@ -598,43 +592,83 @@ def run(
                             (at[j][0][i][1], hits[j][cycle[j % size]], (n - j - 1) // period + 1)
                             for j in range(width)
                         ])
-                # Every slot of the block but its last, which the tail below
-                # takes. Regret is a left fold of the gaps between checkpoints,
-                # so it makes the same float additions in the same order.
+                # Regret is a left fold of the gaps between checkpoints, so
+                # it makes the same float additions in the same order.
                 for j in compress(range(width), map(itemgetter(2), at)):
-                    optimal_mask[t + j : last : period] = True
+                    optimal_mask[t + j : end : period] = b"\1" * len(range(t + j, end, period))
                 gaps = cycle_of(map(itemgetter(1), at))
                 s = t
-                for c in cps[bisect_right(cps, t) : bisect_right(cps, last)]:
+                for c in cps[bisect_right(cps, t) : bisect_right(cps, end)]:
                     regret = reduce(add, islice(gaps, c - s), regret)
                     cp_regret.append(regret)
                     s = c
-                regret = reduce(add, islice(gaps, last - s), regret)
+                regret = reduce(add, islice(gaps, end - s), regret)
+                read_phase(end - 1)
                 if probe is not None:
-                    for s, plan in zip(range(t, last), cycle_of(at)):
+                    for s, plan in zip(range(t, end), cycle_of(at)):
                         probe(s, policies, plan[3])
-                _, gap, optimal, counts, _ = at[(n - 1) % period]
-                t = last
-            else:
-                if offset == len(draws):
-                    offset = 0
-                    draws = draw(t)
-                row = draws[offset : offset + K]
-                offset += K
-                if not rides:
+                t = end
+                continue
+
+            # A stretch: the slots up to the next event, the end of the drawn
+            # chunk, the next checkpoint or the earliest ride's end, stepped
+            # in a tight loop. An idle player's block answer ends it before
+            # its slot, and a broken range after.
+            if offset == len(draws):
+                offset = 0
+                draws = draw(t)
+            begin = t
+            mark = marks[bisect_right(marks, t)]
+            until = min(t + (len(draws) - offset) // K, next_end, mark)
+            ask = askers
+            if n == 0:  # a stated range breaks at the block's first slot: step it
+                ask, until = (), t + 1
+            bases = range(offset, len(draws), K)  # the byte at which each slot's row starts
+            if not rides:
+                for t, base in zip(range(t, until), bases):
+                    if ask:
+                        for i, schedule in ask:
+                            answer = schedule(t)
+                            if answer is not None:
+                                stated.append((i, answer))
+                        if stated:
+                            break
                     arms = [next_action(t) for next_action in next_actions]
                     players, gap, optimal, counts, _ = plans.get(tuple(arms)) or plan_for(arms)
-                    for observe, a, (miss, hit) in zip(observers, arms, players):
-                        observe(hit if row[a] else miss)
+                    for observe, a, pair in zip(observers, arms, players):
+                        observe(pair[draws[base + a]])
+                    regret += gap
+                    if optimal:
+                        optimal_mask[t] = 1
+                    phase = getattr(first, "phase", None)
+                    if phase is not None and phase != last_phase:
+                        phase_events.append((t, str(phase)))
+                        last_phase = phase
+                    if probe is not None:
+                        probe(t, policies, counts)
                 else:
-                    # One stepped player, as DPE's leader, costs no comprehension.
-                    if len(step_next) == 1:
-                        key = (pos, step_next[0](t))
-                    else:
+                    t = until
+            else:
+                # One stepped player, as DPE's leader, costs no comprehension.
+                # Player 0's phase is read in the slots it is stepped in, and
+                # in every slot of a first stretch, so that slot 0 is read.
+                one = step_next[0] if len(step_next) == 1 else None
+                lead = 0 not in rides or not begin
+                log_rows += draws[offset : offset + (until - t) * K]
+                for t, base in zip(range(t, until), bases):
+                    if ask:
+                        for i, schedule in ask:
+                            answer = schedule(t)
+                            if answer is not None:
+                                stated.append((i, answer))
+                        if stated:
+                            break
+                    if one is None:
                         key = (pos, *[next_action(t) for next_action in step_next])
+                    else:
+                        key = (pos, one(t))
                     entry = memo.get(key) or ride_plan(key, idle, riders, memo)
                     plan, breaks, stepped, arms = entry
-                    observing = step_obs
                     if breaks:
                         # These riders' ranges break in this slot: their
                         # rides end at the slot before, and they are stepped.
@@ -644,39 +678,39 @@ def run(
                             arms[i] = next_actions[i](t)
                         plan = plans.get(tuple(arms)) or plan_for(arms)
                         now = sorted(idle + breaks)
-                        observing = [observers[i] for i in now]
-                        stepped = [(arms[i], plan[0][i]) for i in now]
-                    for observe, (a, (miss, hit)) in zip(observing, stepped):
-                        observe(hit if row[a] else miss)
+                        stepped = [(observers[i], arms[i], plan[0][i]) for i in now]
+                    for observe, a, pair in stepped:
+                        observe(pair[draws[base + a]])
                     log_plans.append(plan)
-                    log_rows.append(row)
-                    _, gap, optimal, counts, _ = plan
+                    regret += plan[1]
+                    if plan[2]:
+                        optimal_mask[t] = 1
                     pos += 1
                     if pos == joint:
                         pos = 0
-                    if t + 1 == next_end or breaks:
-                        for i in [i for i, ride in rides.items() if ride[1] == t + 1]:
-                            end_ride(i, t)
-                        idle, askers, step_next, step_obs, riders, joint, next_end, memo = settle(
-                            t + 1
-                        )
+                    if lead:
+                        phase = getattr(first, "phase", None)
+                        if phase is not None and phase != last_phase:
+                            phase_events.append((t, str(phase)))
+                            last_phase = phase
+                    if probe is not None:
+                        probe(t, policies, plan[3])
+                    if breaks:
+                        t += 1
+                        break
+                else:
+                    t = until
+                del log_rows[(t - log_start) * K :]
+                if t > begin:
+                    if t == next_end or breaks:
+                        for i in [i for i, ride in rides.items() if ride[1] == t]:
+                            end_ride(i, t - 1)
+                        idle, askers, step_next, riders, joint, next_end, memo = settle(t)
                         pos = 0
-
-            regret += gap
-            if optimal:
-                optimal_mask[t] = True
-
-            phase = getattr(policies[0], "phase", None)
-            if phase is not None and phase != last_phase:
-                phase_events.append((t, str(phase)))
-                last_phase = phase
-
-            if t + 1 in cp_set:
+                    read_phase(t - 1)
+            offset += (t - begin) * K
+            if t == mark:
                 cp_regret.append(regret)
-
-            if probe is not None:
-                probe(t, policies, counts)
-            t += 1
     except Exception as exc:
         raised = _raised_by(exc.__traceback__, policies)
         if raised is not None:
@@ -697,6 +731,6 @@ def run(
         checkpoints=tuple(cps),
         checkpoint_regret=tuple(cp_regret),
         final_regret=regret,
-        optimal_mask=optimal_mask,
+        optimal_mask=np.frombuffer(optimal_mask, dtype=bool),
         phase_events=tuple(phase_events),
     )

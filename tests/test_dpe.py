@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 import pickle
 from collections import Counter
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shareable_bandits import engine
 from shareable_bandits.dpe import (
     DpeSdiPolicy,
     SharedInfo,
@@ -72,6 +74,23 @@ def naive(policy, spec):
         policy, lambda rng: PublicEnvInfo(spec.num_arms, spec.horizon, spec.feedback, rng),
         spec, True, opt.value, opt.profile.counts, [],
     )
+
+
+def views_at_leader_round_start(policies):
+    """Every player's view when the leader starts a round in the next slot, else None.
+
+    The leader is stepped in every slot. A riding follower's state is as of
+    its ride's start, but its view changes only in a broadcast, which it
+    steps, so its view is current in every slot.
+    """
+    leader = next((p for p in policies if p.rank == 0), None)
+    if leader is None or leader._mode != "explore-round" or leader._slot:
+        return None
+    return {
+        (frozenset(p.view.optimal_set), p.view.least_favored,
+         tuple(p.view.cap_lower), tuple(p.view.cap_upper))
+        for p in policies
+    }
 
 
 def make_env(spec, seed=0):
@@ -490,49 +509,47 @@ class TestEndToEnd:
         assert trace.optimal_mask.sum() > ONE_PLAYER_SPEC.horizon // 3
 
     def test_views_synchronized_outside_comm(self):
+        """Every player holds the same view at each of the leader's 1,151
+        round starts."""
         spec = make_spec(horizon=4000)
-        desync = []
+        compared, desync = [], []
 
         def probe(t, policies, counts):
-            views = [
-                (frozenset(p.view.optimal_set), p.view.least_favored,
-                 tuple(p.view.cap_lower), tuple(p.view.cap_upper))
-                for p in policies
-                if p._mode == "explore-round" and p._slot == 0
-            ]
-            if len(views) == len(policies) and len(set(views)) > 1:
-                desync.append(t)
+            views = views_at_leader_round_start(policies)
+            if views is not None:
+                compared.append(t)
+                if len(views) > 1:
+                    desync.append(t)
 
         run(DpeSdiPolicy, spec, probe=probe)
         assert desync == []
+        assert len(compared) >= 1_151
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, round_starts",
         [
-            SEED_47_SPEC,
-            EnvSpec(7, 2, (0.58, 0.93, 0.15, 0.95, 0.46, 0.16, 0.78),
-                    (2, 2, 2, 2, 1, 1, 1), 2991, feedback="sdi", seed=54),
-            SEED_63_SPEC,
+            (SEED_47_SPEC, 885),
+            (EnvSpec(7, 2, (0.58, 0.93, 0.15, 0.95, 0.46, 0.16, 0.78),
+                     (2, 2, 2, 2, 1, 1, 1), 2991, feedback="sdi", seed=54), 1_400),
+            (SEED_63_SPEC, 552),
         ],
         ids=["seed-47", "seed-54", "seed-63"],
     )
-    def test_views_agree_from_single_arm_views(self, spec):
-        """Runs whose views put every player on one arm stay in sync."""
-        desync = []
+    def test_views_agree_from_single_arm_views(self, spec, round_starts):
+        """Runs whose views put every player on one arm stay in sync at
+        each of the leader's round starts."""
+        compared, desync = [], []
 
         def probe(t, policies, counts):
-            if any(p._mode != "explore-round" or p._slot for p in policies):
-                return
-            views = {
-                (frozenset(p.view.optimal_set), p.view.least_favored,
-                 tuple(p.view.cap_lower), tuple(p.view.cap_upper))
-                for p in policies
-            }
-            if len(views) > 1:
-                desync.append(t)
+            views = views_at_leader_round_start(policies)
+            if views is not None:
+                compared.append(t)
+                if len(views) > 1:
+                    desync.append(t)
 
         run(DpeSdiPolicy, spec, probe=probe)
         assert desync == []
+        assert len(compared) >= round_starts
 
     def test_no_false_comm_detection(self):
         """Followers only flag a broadcast when the leader really parked."""
@@ -770,6 +787,30 @@ class TestSchedule:
             | {(mode, leader, True) for mode in stepped for leader in (False, True)}
             | {("explore-round", False, False)}
         )
+
+    def test_statements_stop_one_round_past_a_span(self):
+        """At K = 40, M = 30 a follower's lcm(L, M) cycle can be longer than
+        a ride. No statement is then longer than ``_SPAN`` plus one round,
+        and such a statement does not repeat."""
+        rng = np.random.default_rng(5)
+        means = tuple(float(x) for x in np.round(rng.uniform(0.05, 0.95, 40), 3))
+        spec = EnvSpec(40, 30, means, tuple(int(c) for c in rng.integers(1, 4, 40)), 3000,
+                       feedback=Feedback.SDI, seed=1)
+        stated = []  # (positions, n, round length, lcm(L, M))
+
+        class Stating(DpeSdiPolicy):
+            def schedule(self, t):
+                answer = super().schedule(t)
+                if answer is not None:
+                    length, players = self._len, self.num_players
+                    stated.append((len(answer[1]), answer[0], length, math.lcm(length, players)))
+                return answer
+
+        run(Stating, spec)
+        long = [s for s in stated if s[3] > engine._SPAN + s[2]]
+        assert len(stated) > 100 and len(long) > 10
+        assert all(positions < engine._SPAN + length for positions, _, length, _ in stated)
+        assert all(n == positions for positions, n, _, _ in long)
 
     def test_followers_ride_the_synthetic_run(self):
         """At seed 0 of ``synthetic-0.025``, at the full horizon, followers

@@ -255,6 +255,10 @@ class TestRun:
             (4, (1,), ((1, 2), (1, 2))): (
                 r"schedule answer \(4, \(1,\), \(\(1, 2\), \(1, 2\)\)\) is malformed"
             ),
+            (4, (1,), ((1, 2, 3),)): (
+                r"schedule answer \(4, \(1,\), \(\(1, 2, 3\),\)\) is malformed"
+            ),
+            (4, (1,), ("12",)): r"schedule answer \(4, \(1,\), \('12',\)\) is malformed",
             (4, (1,), True, 0): r"schedule answer \(4, \(1,\), True, 0\) is malformed",
             (4,): r"schedule answer \(4,\) is malformed",
             5: r"schedule answer 5 is malformed",
@@ -507,14 +511,15 @@ NAIVE_CASES = [
 ]
 
 
-def assert_run_equals_naive_loop(factory, spec, probe=None):
+def assert_run_equals_naive_loop(factory, spec, probe=None, checkpoints=None):
     """``run`` and ``oracles.naive_run`` give the same trace, field for field.
 
-    Checkpoints fall every 7 slots, so many lie inside blocks. ``probe`` is
-    passed to ``run``.
+    Checkpoints fall every 7 slots unless given, so many lie inside blocks.
+    ``probe`` is passed to ``run``.
     """
     opt = optimal_profile_for(spec)
-    checkpoints = [1, *range(7, spec.horizon, 7), spec.horizon]
+    if checkpoints is None:
+        checkpoints = [1, *range(7, spec.horizon, 7), spec.horizon]
     trace = run(factory, spec, checkpoints=checkpoints, probe=probe)
 
     def make_env(rng):
@@ -980,6 +985,33 @@ class Wanderer:
         pass
 
 
+class Napper:
+    """Plays a fixed pseudo-random arm each slot; at slots 11 + 29k it states
+    its next three arms, with no range. ``naps`` collects the length of
+    every ride."""
+
+    phase = "nap"
+
+    def __init__(self, player_id, env):
+        self.num_arms = env.num_arms
+        self.naps = []
+
+    def arm(self, t):
+        return (7 * t + t // 5) % self.num_arms
+
+    def next_action(self, t):
+        return self.arm(t)
+
+    def observe(self, obs):
+        pass
+
+    def schedule(self, t):
+        return (3, tuple(map(self.arm, range(t, t + 3)))) if t % 29 == 11 else None
+
+    def observe_block(self, outcomes):
+        self.naps.append(len(outcomes))
+
+
 # Riders of ``TestRides``: player -> (arms, largest count).
 RIDERS = {0: ((0, 1), 1), 1: ((2, 3), 1)}
 
@@ -993,26 +1025,35 @@ class TestRides:
     a ride that holds is cut after 7 slots.
     """
 
-    @pytest.mark.parametrize("chunk", [engine._CHUNK, 5])
-    def test_trace_equals_naive_loop(self, monkeypatch, chunk):
-        monkeypatch.setattr(engine, "_SPAN", 7)
-        monkeypatch.setattr(engine, "_CHUNK", chunk)
-        spec = make_spec(horizon=400)
-        made, probed = [], []
-
-        def factory(i, env):
+    @staticmethod
+    def factory(made):
+        def make(i, env):
             made.append(Wanderer(i, env) if i == 2 else Shifter(i, env, *RIDERS[i]))
             return made[-1]
 
-        def probe(t, policies, counts):
-            probed.append((t, dict(counts)))
+        return make
 
-        assert_run_equals_naive_loop(factory, spec, probe)
+    @pytest.mark.parametrize(
+        "chunk, probed",
+        [(engine._CHUNK, True), (5, True), (engine._CHUNK, False), (5, False)],
+        ids=[str(engine._CHUNK), "5", f"{engine._CHUNK}-unprobed", "5-unprobed"],
+    )
+    def test_trace_equals_naive_loop(self, monkeypatch, chunk, probed):
+        monkeypatch.setattr(engine, "_SPAN", 7)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        spec = make_spec(horizon=400)
+        made, probes = [], []
+
+        def probe(t, policies, counts):
+            probes.append((t, dict(counts)))
+
+        assert_run_equals_naive_loop(self.factory(made), spec, probe if probed else None)
         # The probe sees every slot once, with the counts the naive loop plays.
         stepped = made[spec.num_players :]
-        assert probed == [
-            (t, dict(Counter(p.played[t] for p in stepped))) for t in range(spec.horizon)
-        ]
+        if probed:
+            assert probes == [
+                (t, dict(Counter(p.played[t] for p in stepped))) for t in range(spec.horizon)
+            ]
         for i in RIDERS:
             rider = made[i]
             assert rider.shift > 5
@@ -1022,6 +1063,97 @@ class TestRides:
             # Every slot is stepped or ridden, and none is both.
             assert len(rider.played) + sum(n for _, n in rider.rides) == spec.horizon
         assert len(made[2].played) == spec.horizon
+
+    def test_checkpoints_at_ride_ends_and_chunk_refills(self, monkeypatch):
+        """Checkpoints fall where rides end and where the drawn chunk of 5
+        slots runs out, so the stretch boundaries coincide."""
+        monkeypatch.setattr(engine, "_SPAN", 7)
+        monkeypatch.setattr(engine, "_CHUNK", 5)
+        spec = make_spec(horizon=400)
+        made = []
+        run(self.factory(made), spec)
+        ends = {first + n for i in RIDERS for first, n in made[i].rides}
+        assert len(ends - set(range(0, 401, 5))) > 20
+        checkpoints = sorted(ends | set(range(5, 401, 5)))
+        assert_run_equals_naive_loop(self.factory([]), spec, checkpoints=checkpoints)
+
+    def test_first_phase_is_read_at_slot_0(self, monkeypatch):
+        """Player 0 rides from slot 0, and regret is sampled only at the
+        horizon, so the first stretch is longer than a slot; player 0's
+        first phase is still recorded at slot 0."""
+        monkeypatch.setattr(engine, "_SPAN", 7)
+        spec = make_spec(horizon=400)
+        assert run(self.factory([]), spec, checkpoints=[400]).phase_events[0] == (0, "shift 0")
+        assert_run_equals_naive_loop(self.factory([]), spec, checkpoints=[400])
+
+    @pytest.mark.parametrize("riders", [True, False], ids=["beside-riders", "all-stepped"])
+    def test_idle_player_states_mid_stretch(self, riders):
+        """A stepped player states three slots at slots 11 + 29k, with no
+        probe: beside players 0 and 1 riding and player 2 wandering, or
+        beside player 0 wandering while nobody rides."""
+        made = []
+
+        def factory(i, env):
+            if i in RIDERS and riders:
+                made.append(Shifter(i, env, *RIDERS[i]))
+            else:
+                made.append(Napper(i, env) if i == count - 1 else Wanderer(i, env))
+            return made[-1]
+
+        count = 4 if riders else 2
+        spec = make_spec(num_arms=5, num_players=count, means=(0.9, 0.8, 0.7, 0.2, 0.5),
+                         capacities=(2, 1, 2, 1, 1), horizon=400)
+        assert_run_equals_naive_loop(factory, spec)
+        assert made[count - 1].naps == [3] * len(range(11, 400, 29))
+
+    @pytest.mark.parametrize(
+        "case", ["stepped-observe", "beside-riders-next_action", "breaker-next_action", "schedule"]
+    )
+    def test_error_in_a_stretch_names_its_slot(self, monkeypatch, case):
+        """An error raised in a slot of a stretch names that slot, the player
+        and its phase."""
+        monkeypatch.setattr(engine, "_SPAN", 7)
+        failed = []
+
+        class Failing(Wanderer):
+            def next_action(self, t):
+                if case == "beside-riders-next_action" and t == 123:
+                    raise ProtocolCorruptionError("lost sync")
+                self._t = t
+                return super().next_action(t)
+
+            def observe(self, obs):
+                if case == "stepped-observe" and self._t == 123:
+                    raise ProtocolCorruptionError("lost sync")
+
+            def schedule(self, t):
+                if case == "schedule" and t == 123:
+                    raise ProtocolCorruptionError("lost sync")
+
+            def observe_block(self, outcomes):
+                pass
+
+        class FailingShifter(Shifter):
+            def next_action(self, t):
+                if t > 100:
+                    failed.append((t, self.phase))
+                    raise ProtocolCorruptionError("lost sync")
+                return super().next_action(t)
+
+        def factory(i, env):
+            if case == "stepped-observe":
+                return Failing(i, env) if i == 2 else Wanderer(i, env)  # nobody rides
+            if case == "breaker-next_action" and i == 0:
+                return FailingShifter(i, env, *RIDERS[i])
+            return Failing(i, env) if i == 2 else Shifter(i, env, *RIDERS[i])
+
+        want = r"slot 123, player 2 in phase 'wander'"
+        with pytest.raises(ProtocolCorruptionError) as raised:
+            run(factory, make_spec(horizon=400))
+        if case == "breaker-next_action":
+            (t, phase), = failed
+            want = rf"slot {t}, player 0 in phase '{phase}'"
+        assert raised.match(rf"^lost sync at {want}$")
 
 
 class CountedIdlestArm(IdlestArmPolicy):

@@ -3,7 +3,7 @@
 dpe-sdi and sic-sda run on environments with tied means, means in {0, 1},
 capacities all 1 or all M, one player, and one arm more than players. Each
 run must raise nothing and pay no slot above the optimum, and DPE players'
-views must agree whenever every player starts a round. On the same
+views must agree whenever the leader starts a round. On the same
 environments sic-sda and sic-sdi, which take most slots in engine blocks,
 must give the trace of ``oracles.naive_run``, which steps every slot, and so
 must dpe-sdi, whose followers ride their rounds while the leader steps.
@@ -79,18 +79,25 @@ def test_full_runs_stay_sound(algorithm, env):
     best = best_value(means, caps, num_players)
     dpe = algorithm == "dpe-sdi"
     negative, desync = [], []
+    rounds, compared = set(), []  # the leader's round starts, and the slots views were compared
 
     def probe(t, policies, counts):
         value = sum(min(c, caps[a]) * means[a] for a, c in counts.items())
         if value > best + 1e-9:
             negative.append(t)
-        if dpe and all(p._mode == "explore-round" and p._slot == 0 for p in policies):
-            if len({view_of(p) for p in policies}) > 1:
-                desync.append(t)
+        leader = next((p for p in policies if p.rank == 0), None) if dpe else None
+        if leader is not None and leader._mode == "explore-round":
+            rounds.add(leader._start)
+            if leader._slot == 0:
+                compared.append(t)
+                if len({view_of(p) for p in policies}) > 1:
+                    desync.append(t)
 
     run(policy, spec, probe=probe)
     assert negative == []
     assert desync == []
+    # The views are compared at every round start of the leader.
+    assert len(compared) >= len(rounds)
 
 
 @pytest.mark.parametrize("algorithm", ["dpe-sdi", "sic-sda", "sic-sdi"])

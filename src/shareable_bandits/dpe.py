@@ -165,11 +165,10 @@ class DpeSdiPolicy:
         self._message: list[int] = []  # leader: bits to send; follower: heard
 
         # Shared (follower-synchronized) state; populated by the bootstrap.
-        # The plan table and the united-exploration arms are a function of
-        # the view and are rebuilt only after the view changes.
+        # The plan table, united-exploration arms included, is a function of
+        # the view and is rebuilt only after the view changes.
         self.view = SharedInfo()
         self._view_changed = True
-        self._ue_arms: list[int] = []
         self._single_arm = False  # the view puts every player on one arm
         # _plans[(rank + t0) % M] is the plan of a round that starts at slot
         # t0: the arm per round slot, and each slot's count limit, above which
@@ -202,7 +201,7 @@ class DpeSdiPolicy:
         # the profile, and over M slots each rank serves each arm its share.
         rotation = [arm for arm, c in enumerate(profile) for _ in range(c)]
         limits = [profile[arm] for arm in rotation]
-        ue_arms = self._ue_arms = [
+        ue_arms = [
             k
             for k in sorted(self.view.optimal_set)
             if self.view.cap_lower[k] != self.view.cap_upper[k]

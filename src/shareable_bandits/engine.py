@@ -14,21 +14,21 @@ the sharing count (SDI) or a 1-bit shared flag (SDA).
   ``run`` builds this plan once per distinct action tuple, so a slot is one
   lookup plus the draws. The observations are interned per (arm, count,
   draw), at most 2·K·M per run, and shared between players and slots.
-- **Stretches.** Stepped slots run in stretches. ``run`` finds the next
-  event once, the end of the drawn chunk, the next checkpoint or the
-  earliest ride's end, and steps every slot up to it in a tight loop that
-  asks the idle players for a block, steps them, hands out the
-  observations, adds the slot's gap and calls ``probe``. A block answer
-  ends the stretch before its slot, and a broken range after it. Player
-  0's phase is read after each slot in which it is stepped, and where it
-  is handed what it stated.
+- **Stretches.** Stepped slots run in stretches, in one loop whether or
+  not anyone rides. ``run`` finds the next event once, the end of the drawn
+  chunk, the next checkpoint or the earliest ride's end, and steps every
+  slot up to it in a tight loop that asks the idle players for a block,
+  steps them, hands out the observations, adds the slot's gap and calls
+  ``probe``. A block answer ends the stretch before its slot, and a broken
+  range after it. Player 0's phase is read after slot 0, after each slot
+  in which it is stepped, and where it is handed what it stated.
 - **Rides.** A player that states a block (``Policy``) rides it: the engine
   plays its stated arms and steps only the others. While the same players
-  ride, a memo keyed by the riders' joint period position and the stepped
-  players' arms gives each slot's plan and the riders whose range it
-  breaks, so a slot costs the same however many ride. The engine keeps
-  each ridden slot's plan and row of draws, and builds the rider's
-  outcomes from them when the ride ends.
+  ride, none included, a memo keyed by the riders' joint period position
+  and the stepped players' arms gives each slot's plan and the riders
+  whose range it breaks, so a slot costs the same however many ride. While
+  anyone rides, the engine keeps each slot's plan and row of draws, and
+  builds a rider's outcomes from them when its ride ends.
 - **Blocks of everyone.** When every player states a cycle in the same
   slot, the engine takes the shortest block at once, with one plan per
   position of the period P, the lcm of the cycle lengths, cut before the
@@ -70,9 +70,10 @@ _MAX_PLANS = 4096
 
 
 class InvalidActionError(RuntimeError):
-    """A policy emitted an arm index outside [0, K), or a ``schedule`` answer
-    that is not ``(n, arms)`` or ``(n, arms, ranges)`` with one ``(lo, hi)``
-    range per arm of the cycle, or has n < 1 or an empty cycle."""
+    """A policy emitted an arm index that is not an integer in [0, K), or a
+    ``schedule`` answer that is not ``(n, arms)`` or ``(n, arms, ranges)``
+    with one ``(lo, hi)`` range per arm of the cycle, or has an n that is
+    not an integer >= 1 or an empty cycle."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,12 +151,12 @@ class Policy(Protocol):
     assume its whole statement. A player committed to one arm for good
     states ``(T - t, (arm,))``.
 
-    Player 0's ``phase`` is read after each slot in which it is stepped,
-    and where it is handed what it stated: at the last slot of a ride that
-    ends at its stated end or after ``_SPAN`` slots, and of a block of
-    everyone. A ride that a broken range or a block of everyone ends is
-    handed over in a later slot, so a policy may change its phase only in
-    a slot it is stepped in or at the end of what it stated.
+    Player 0's ``phase`` is read after slot 0, after each slot in which it
+    is stepped, and where it is handed what it stated: at the last slot of
+    a ride that ends at its stated end or after ``_SPAN`` slots, and of a
+    block of everyone. A ride that a broken range or a block of everyone
+    ends is handed over in a later slot, so a policy may change its phase
+    only in a slot it is stepped in or at the end of what it stated.
 
     The engine reads ``next_action``, ``observe`` and ``schedule`` once
     per run, before the first slot, and calls those bound methods. It reads
@@ -251,12 +252,9 @@ def _plan(
     num_arms = len(caps)
     counts: dict[int, int] = {}
     for a in actions:
-        if a in counts:
-            counts[a] += 1
-        elif 0 <= a < num_arms:
-            counts[a] = 1
-        else:
-            raise InvalidActionError(f"arm index {a} out of range [0, {num_arms})")
+        if not (is_integral(a) and 0 <= a < num_arms):
+            raise InvalidActionError(f"arm index {a!r} out of range [0, {num_arms})")
+        counts[a] = counts.get(a, 0) + 1
     players = []
     singles = []
     for a in actions:
@@ -281,22 +279,22 @@ def _statement(answer) -> tuple[int, tuple[int, ...], tuple | None] | None:
     ``ranges`` is None when the answer states none.
     """
     size = len(answer) if type(answer) is tuple else 0
-    if size == 3:
-        ranges = answer[2]
-        if not (
-            type(ranges) is tuple
-            and len(ranges) == len(answer[1])
-            and set(map(type, ranges)) == {tuple}
-            and set(map(len, ranges)) == {2}
-        ):
-            return None
-    elif size == 2:
-        ranges = None
+    if size == 2:
+        (n, arms), ranges = answer, None
+    elif size == 3:
+        n, arms, ranges = answer
     else:
         return None
-    if answer[0] < 1 or not answer[1]:
+    if not (is_integral(n) and n >= 1 and type(arms) is tuple and arms):
         return None
-    return answer[0], answer[1], ranges
+    if size == 3 and not (
+        type(ranges) is tuple
+        and len(ranges) == len(arms)
+        and set(map(type, ranges)) == {tuple}
+        and set(map(len, ranges)) == {2}
+    ):
+        return None
+    return n, arms, ranges
 
 
 def _raised_by(tb, policies: Sequence[Policy]) -> tuple[int, str] | None:
@@ -329,7 +327,7 @@ def run(
     (expected-value gap to the optimum) is sampled at ``checkpoints``.
 
     An error raised in a player's method, and the ``InvalidActionError`` of
-    an arm outside [0, K) or a malformed ``schedule`` answer, propagates
+    an arm not in [0, K) or a malformed ``schedule`` answer, propagates
     with the slot (for ``observe_block``, the slots the player rode or the
     block's; for a stated answer, its first slot), the player and its phase
     appended to its message.
@@ -379,7 +377,7 @@ def run(
         try:
             counts, players, singles = _plan(arms, caps, sdi, entries)
         except InvalidActionError:
-            stray = next(i for i, a in enumerate(arms) if not 0 <= a < K)
+            stray = next(i for i, a in enumerate(arms) if not (is_integral(a) and 0 <= a < K))
             raise
         f_t = 0.0
         for a, c in counts.items():
@@ -579,6 +577,8 @@ def run(
                                 counted[a] += draws[start + a : stop : stride].count(1)
                     offset = stop
                     s += take
+                if not t and n > 1:
+                    read_phase(0)  # its phase at slot 0 holds to the block's end
                 handed = (t, end - 1)
                 if per_slot:
                     # Each player's outcomes are built when read: per slot,
@@ -623,91 +623,71 @@ def run(
             ask = askers
             if n == 0:  # a stated range breaks at the block's first slot: step it
                 ask, until = (), t + 1
+            # One stepped player, as DPE's leader, costs no comprehension.
+            # Player 0's phase is read in the slots it is stepped in, and in
+            # every slot of a first stretch, so that slot 0 is read, unless a
+            # ride ends there and the read after the stretch sees it handed.
+            # The ride log is kept only while anyone rides.
+            one = step_next[0] if len(step_next) == 1 else None
+            lead = 0 not in rides or not begin and next_end > 1
+            logs = bool(rides)
+            if logs:
+                log_rows += draws[offset : offset + (until - t) * K]
             bases = range(offset, len(draws), K)  # the byte at which each slot's row starts
-            if not rides:
-                for t, base in zip(range(t, until), bases):
-                    if ask:
-                        for i, schedule in ask:
-                            answer = schedule(t)
-                            if answer is not None:
-                                stated.append((i, answer))
-                        if stated:
-                            break
-                    arms = [next_action(t) for next_action in next_actions]
-                    players, gap, optimal, counts, _ = plans.get(tuple(arms)) or plan_for(arms)
-                    for observe, a, pair in zip(observers, arms, players):
-                        observe(pair[draws[base + a]])
-                    regret += gap
-                    if optimal:
-                        optimal_mask[t] = 1
+            for t, base in zip(range(t, until), bases):
+                if ask:
+                    for i, schedule in ask:
+                        answer = schedule(t)
+                        if answer is not None:
+                            stated.append((i, answer))
+                    if stated:
+                        break
+                if one is None:
+                    key = (pos, *[next_action(t) for next_action in step_next])
+                else:
+                    key = (pos, one(t))
+                entry = memo.get(key) or ride_plan(key, idle, riders, memo)
+                plan, breaks, stepped, arms = entry
+                if breaks:
+                    # These riders' ranges break in this slot: their rides
+                    # end at the slot before, and they are stepped.
+                    arms = arms[:]
+                    for i in breaks:
+                        end_ride(i, t - 1)
+                        arms[i] = next_actions[i](t)
+                    plan = plans.get(tuple(arms)) or plan_for(arms)
+                    now = sorted(idle + breaks)
+                    stepped = [(observers[i], arms[i], plan[0][i]) for i in now]
+                for observe, a, pair in stepped:
+                    observe(pair[draws[base + a]])
+                if logs:
+                    log_plans.append(plan)
+                regret += plan[1]
+                if plan[2]:
+                    optimal_mask[t] = 1
+                pos += 1
+                if pos == joint:
+                    pos = 0
+                if lead:
                     phase = getattr(first, "phase", None)
                     if phase is not None and phase != last_phase:
                         phase_events.append((t, str(phase)))
                         last_phase = phase
-                    if probe is not None:
-                        probe(t, policies, counts)
-                else:
-                    t = until
+                if probe is not None:
+                    probe(t, policies, plan[3])
+                if breaks:
+                    t += 1
+                    break
             else:
-                # One stepped player, as DPE's leader, costs no comprehension.
-                # Player 0's phase is read in the slots it is stepped in, and
-                # in every slot of a first stretch, so that slot 0 is read.
-                one = step_next[0] if len(step_next) == 1 else None
-                lead = 0 not in rides or not begin
-                log_rows += draws[offset : offset + (until - t) * K]
-                for t, base in zip(range(t, until), bases):
-                    if ask:
-                        for i, schedule in ask:
-                            answer = schedule(t)
-                            if answer is not None:
-                                stated.append((i, answer))
-                        if stated:
-                            break
-                    if one is None:
-                        key = (pos, *[next_action(t) for next_action in step_next])
-                    else:
-                        key = (pos, one(t))
-                    entry = memo.get(key) or ride_plan(key, idle, riders, memo)
-                    plan, breaks, stepped, arms = entry
-                    if breaks:
-                        # These riders' ranges break in this slot: their
-                        # rides end at the slot before, and they are stepped.
-                        arms = arms[:]
-                        for i in breaks:
-                            end_ride(i, t - 1)
-                            arms[i] = next_actions[i](t)
-                        plan = plans.get(tuple(arms)) or plan_for(arms)
-                        now = sorted(idle + breaks)
-                        stepped = [(observers[i], arms[i], plan[0][i]) for i in now]
-                    for observe, a, pair in stepped:
-                        observe(pair[draws[base + a]])
-                    log_plans.append(plan)
-                    regret += plan[1]
-                    if plan[2]:
-                        optimal_mask[t] = 1
-                    pos += 1
-                    if pos == joint:
-                        pos = 0
-                    if lead:
-                        phase = getattr(first, "phase", None)
-                        if phase is not None and phase != last_phase:
-                            phase_events.append((t, str(phase)))
-                            last_phase = phase
-                    if probe is not None:
-                        probe(t, policies, plan[3])
-                    if breaks:
-                        t += 1
-                        break
-                else:
-                    t = until
-                del log_rows[(t - log_start) * K :]
-                if t > begin:
-                    if t == next_end or breaks:
-                        for i in [i for i, ride in rides.items() if ride[1] == t]:
-                            end_ride(i, t - 1)
-                        idle, askers, step_next, riders, joint, next_end, memo = settle(t)
-                        pos = 0
-                    read_phase(t - 1)
+                t = until
+            del log_rows[(t - log_start) * K :]
+            if t > begin:
+                if t == next_end or breaks:
+                    for i in [i for i, ride in rides.items() if ride[1] == t]:
+                        end_ride(i, t - 1)
+                    idle, askers, step_next, riders, joint, next_end, memo = settle(t)
+                    pos = 0
+                read_phase(t - 1)
             offset += (t - begin) * K
             if t == mark:
                 cp_regret.append(regret)

@@ -26,6 +26,8 @@ class InfeasibleAssignmentError(ValueError):
 
 def is_integral(value) -> bool:
     """True for Python and numpy integers; False for bools and floats."""
+    if type(value) is int:  # the common case, without the slower ABC check
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 

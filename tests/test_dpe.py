@@ -682,7 +682,6 @@ class TestEndToEnd:
                     k for k in p.view.optimal_set
                     if p.view.cap_lower[k] != p.view.cap_upper[k]
                 )
-                assert p._ue_arms == ue_arms
                 rotation = [
                     rotation_arm(p.rank, p._start + s, prefix)
                     for s in range(num_players)

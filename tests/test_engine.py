@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from itertools import cycle as cycle_of
 
 import numpy as np
 import pytest
@@ -238,18 +239,25 @@ class TestRun:
 
     def test_aborts_on_out_of_range_policy(self):
         spec = make_spec(horizon=10)
-        with pytest.raises(
-            InvalidActionError,
-            match=r"arm index 7 out of range \[0, 4\) at slot 0, player 2 in phase 'exploit'",
-        ):
-            run(lambda i, env: FixedArmPolicy(i, env, 7 if i == 2 else 0), spec)
+        # Player 2's arm; player 1 plays arm 1, so 1.0 compares equal to an arm in the profile.
+        for arm, shown in ((7, "7"), (1.5, "1.5"), ("1", "'1'"), (1.0, "1.0")):
+            with pytest.raises(
+                InvalidActionError,
+                match=rf"^arm index {shown} out of range \[0, 4\) at slot 0, player 2 "
+                r"in phase 'exploit'$",
+            ):
+                run(lambda i, env: FixedArmPolicy(i, env, arm if i == 2 else i), spec)
 
     def test_aborts_on_out_of_range_block_policy(self):
         # Player 1's answer at slot 8, and the start of the error message.
         strays = {
             (4, (7,)): r"arm index 7 out of range \[0, 4\)",
+            (3, (1.5,)): r"arm index 1.5 out of range \[0, 4\)",
             (0, (1,)): r"schedule answer \(0, \(1,\)\) is malformed",
+            (2.5, (1,)): r"schedule answer \(2.5, \(1,\)\) is malformed",
+            ("3", (1,)): r"schedule answer \('3', \(1,\)\) is malformed",
             (3, ()): r"schedule answer \(3, \(\)\) is malformed",
+            (3, 5): r"schedule answer \(3, 5\) is malformed",
             (4, (1,), "x"): r"schedule answer \(4, \(1,\), 'x'\) is malformed",
             (4, (1,), True): r"schedule answer \(4, \(1,\), True\) is malformed",
             (4, (1,), ((1, 2), (1, 2))): (
@@ -690,6 +698,40 @@ class TestNaiveLoop:
         assert trace.checkpoint_regret == want["checkpoint_regret"]
         assert np.array_equal(trace.optimal_mask, want["optimal_mask"])
 
+    def test_full_ride_memo_starts_over(self, monkeypatch):
+        """Player 0 rides arms 0, 3 for the whole run beside two players on
+        random arms, so the ride memo, keyed by the riders' position and the
+        stepped players' arms, fills and starts over mid-ride."""
+        monkeypatch.setattr(engine, "_MAX_PLANS", 8)
+        spec = make_spec(horizon=500)
+        made = []
+
+        class RandomOrRider(Wanderer):
+            def __init__(self, player_id, env):
+                super().__init__(player_id, env)
+                self.player_id = player_id
+                self.rides = []
+                made.append(self)
+
+            def next_action(self, t):
+                if self.player_id == 0:
+                    return (0, 3)[t % 2]
+                self.played.append(int(self.rng.integers(self.num_arms)))
+                return self.played[-1]
+
+            def schedule(self, t):
+                if self.player_id == 0:
+                    return spec.horizon - t, (0, 3) if t % 2 == 0 else (3, 0)
+                return None
+
+            def observe_block(self, outcomes):
+                self.rides.append(len(outcomes))
+
+        assert_run_equals_naive_loop(RandomOrRider, spec, checkpoints=[250, 500])
+        assert made[0].rides == [spec.horizon]
+        keys = set(zip(cycle_of((0, 1)), made[1].played, made[2].played))
+        assert len(keys) == 2 * spec.num_arms**2  # against 8 memo entries
+
     @pytest.mark.parametrize("algorithm, overrides", NAIVE_CASES[:2])
     def test_sic_case_is_fast_forwarded(self, algorithm, overrides):
         cls, feedback = ALGORITHMS[algorithm]
@@ -1085,6 +1127,48 @@ class TestRides:
         spec = make_spec(horizon=400)
         assert run(self.factory([]), spec, checkpoints=[400]).phase_events[0] == (0, "shift 0")
         assert_run_equals_naive_loop(self.factory([]), spec, checkpoints=[400])
+
+    @pytest.mark.parametrize(
+        "length, everyone, fixed",
+        [(4, True, True), (4, True, False), (1, True, False), (4, False, False),
+         (1, False, False)],
+        ids=["everyone-4-listen", "everyone-4", "everyone-1", "player-0-4", "player-0-1"],
+    )
+    def test_first_phase_of_a_block_is_read_at_slot_0(self, length, everyone, fixed):
+        """Every player, or player 0 beside stepped players, states blocks
+        of ``length`` slots from slot 0; player 0's phase is 'listen' or
+        counts the blocks it has ended. Its first phase is recorded at slot
+        0, and a change at the end of a one-slot block only there."""
+
+        class Lister:
+            def __init__(self, player_id, env):
+                self.player_id = player_id
+                self.slots = 0  # the slots it has played
+                self.phase = "listen" if fixed else "listen 0"
+
+            def next_action(self, t):
+                return self.player_id
+
+            def observe(self, obs):
+                self.played(1)
+
+            def schedule(self, t):
+                if everyone or self.player_id == 0:
+                    return length - t % length, (self.player_id,)
+                return None
+
+            def observe_block(self, outcomes):
+                self.played(sum(slots for _, _, slots in outcomes))
+
+            def played(self, slots):
+                self.slots += slots
+                if not fixed and self.slots % length == 0:
+                    self.phase = f"listen {self.slots // length}"
+
+        spec = make_spec(horizon=20)
+        if fixed:
+            assert run(Lister, spec, checkpoints=[20]).phase_events == ((0, "listen"),)
+        assert_run_equals_naive_loop(Lister, spec, checkpoints=[20])
 
     @pytest.mark.parametrize("riders", [True, False], ids=["beside-riders", "all-stepped"])
     def test_idle_player_states_mid_stretch(self, riders):
